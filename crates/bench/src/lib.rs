@@ -190,7 +190,7 @@ pub struct MethodProfile {
     /// Solver queries issued while verifying the method.
     pub queries: u64,
     /// Total solver fuel burned by those queries
-    /// (conflicts + propagations under CDCL; branches under DPLL).
+    /// (conflicts + propagations).
     pub fuel: u64,
     /// Queries answered from the memo table.
     pub cache_hits: u64,
@@ -205,8 +205,7 @@ pub struct HotQuery {
     pub method: String,
     /// The call site label (`postcondition: ...`, `branch feasibility`, …).
     pub site: String,
-    /// Solver fuel the query cost (conflicts + propagations
-    /// under CDCL; branches under DPLL).
+    /// Solver fuel the query cost (conflicts + propagations).
     pub fuel: u64,
     /// Whether the memo table answered it.
     pub cache_hit: bool,

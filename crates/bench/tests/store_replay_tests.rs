@@ -3,7 +3,7 @@
 //! a ~200-method corpus so they run on every `cargo test`.
 
 use daenerys_bench::corpus::{Corpus, CorpusSpec, Edit};
-use daenerys_idf::{parse_program, Backend, StoreFormat, Verdict, Verifier, VerifierConfig};
+use daenerys_idf::{parse_program, Backend, Verdict, VerdictStore, Verifier, VerifierConfig};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -17,17 +17,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn run(
-    src: &str,
-    dir: &Path,
-    threads: usize,
-    format: Option<StoreFormat>,
-) -> (BTreeMap<String, Verdict>, usize) {
+fn run(src: &str, dir: &Path, threads: usize) -> (BTreeMap<String, Verdict>, usize) {
     let program = parse_program(src).unwrap();
     let config = VerifierConfig {
         threads,
         cache_dir: Some(dir.to_path_buf()),
-        store_format: format,
         ..VerifierConfig::default()
     };
     let mut verifier = Verifier::with_config(&program, Backend::Destabilized, config);
@@ -50,18 +44,19 @@ fn snapshot(from: &Path, to: &Path) {
     }
 }
 
-fn sweep(format: Option<StoreFormat>, tag: &str) {
+#[test]
+fn daes1_sweep_replays_edits_against_ground_truth() {
     let corpus = Corpus::generate(CorpusSpec {
         methods: 200,
         depth: 8,
         ..CorpusSpec::default()
     });
     let base = corpus.source(None);
-    let root = temp_dir(tag);
+    let root = temp_dir("daes1");
     let cold_dir = root.join("cold");
 
     // Cold: everything verifies.
-    let (cold, reverified) = run(&base, &cold_dir, 1, format);
+    let (cold, reverified) = run(&base, &cold_dir, 1);
     assert_eq!(reverified, corpus.len());
     assert!(cold.values().all(Verdict::is_verified));
 
@@ -70,7 +65,7 @@ fn sweep(format: Option<StoreFormat>, tag: &str) {
     for threads in [1usize, 2, 8] {
         let dir = root.join(format!("warm-{}", threads));
         snapshot(&cold_dir, &dir);
-        let (warm, reverified) = run(&base, &dir, threads, format);
+        let (warm, reverified) = run(&base, &dir, threads);
         assert_eq!(reverified, 0, "warm no-edit run at {} threads", threads);
         assert_eq!(
             warm, cold,
@@ -84,7 +79,7 @@ fn sweep(format: Option<StoreFormat>, tag: &str) {
     for edit in [Edit::TouchLeafBody, Edit::TouchHubSpec, Edit::TouchSpecNoop] {
         let dir = root.join(edit.name());
         snapshot(&cold_dir, &dir);
-        let (verdicts, reverified) = run(&corpus.source(Some(edit)), &dir, 2, format);
+        let (verdicts, reverified) = run(&corpus.source(Some(edit)), &dir, 2);
         assert_eq!(
             reverified,
             corpus.expected_reverified(edit),
@@ -95,16 +90,6 @@ fn sweep(format: Option<StoreFormat>, tag: &str) {
     }
 
     let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn daes1_sweep_replays_edits_against_ground_truth() {
-    sweep(Some(StoreFormat::Daes1), "daes1");
-}
-
-#[test]
-fn jsonl_sweep_replays_edits_against_ground_truth() {
-    sweep(Some(StoreFormat::Jsonl), "jsonl");
 }
 
 /// The hub-edit cone is a real monorepo shape: strictly bigger than
@@ -119,4 +104,68 @@ fn hub_cone_is_a_proper_subset() {
     let cone = corpus.expected_reverified(Edit::TouchHubSpec);
     assert!(cone > 1, "hub has transitive callers");
     assert!(cone < corpus.len(), "hub edit never dirties everything");
+}
+
+fn bin(path: &str, args: &[&str]) -> std::process::Output {
+    std::process::Command::new(path)
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
+/// `tables store export` prints exactly what `export_jsonl` renders
+/// for the store on disk, one line per verified method.
+#[test]
+fn tables_store_export_prints_the_live_entries() {
+    let corpus = Corpus::generate(CorpusSpec {
+        methods: 20,
+        depth: 4,
+        ..CorpusSpec::default()
+    });
+    let root = temp_dir("export");
+    let dir = root.join("store");
+    run(&corpus.source(None), &dir, 1);
+    let dir_arg = dir.to_str().unwrap();
+
+    let out = bin(env!("CARGO_BIN_EXE_tables"), &["store", "export", dir_arg]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(text, VerdictStore::open(&dir).export_jsonl());
+    assert_eq!(text.lines().count(), corpus.len());
+
+    let missing = root.join("missing");
+    let out = bin(
+        env!("CARGO_BIN_EXE_tables"),
+        &["store", "export", missing.to_str().unwrap()],
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a missing store directory fails"
+    );
+    let out = bin(
+        env!("CARGO_BIN_EXE_tables"),
+        &["store", "migrate", dir_arg, "jsonl"],
+    );
+    assert_eq!(out.status.code(), Some(2), "`store migrate` is gone");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The flags that selected the second solver core and the JSONL store
+/// are unknown flags: usage errors that exit 2 before any work.
+#[test]
+fn solver_and_store_format_flags_exit_2() {
+    for (path, args) in [
+        (env!("CARGO_BIN_EXE_tables"), ["--store-format", "jsonl"]),
+        (env!("CARGO_BIN_EXE_tables"), ["--solver", "dpll"]),
+        (
+            env!("CARGO_BIN_EXE_store_replay"),
+            ["--store-format", "daes1"],
+        ),
+    ] {
+        let out = bin(path, &args);
+        assert_eq!(out.status.code(), Some(2), "{} {:?}", path, args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag"), "{} {:?}: {}", path, args, err);
+    }
 }

@@ -11,9 +11,8 @@
 //! ```
 //!
 //! Common flags: `--json`, `--no-color`, `--backend destabilized|stable`,
-//! `--threads N`, `--timeout-ms N`, `--fuel N`, `--solver dpll|cdcl`,
-//! `--deny-unstable`, `--cache-dir PATH`, `--store-format daes1|jsonl`,
-//! `--max-errors N`.
+//! `--threads N`, `--timeout-ms N`, `--fuel N`, `--deny-unstable`,
+//! `--cache-dir PATH`, `--max-errors N`.
 //!
 //! Every subcommand is a [`daenerys_idf::Session`] client: the binary
 //! never touches
@@ -24,8 +23,8 @@
 use daenerys_cli::{render_cost_json, render_cost_table, Debounce, Renderer, SourceFile};
 use daenerys_idf::{
     analyze_program, check_program, estimate_program, parse_program_with_recovery_capped, Backend,
-    Budget, Program, SessionHost, SolverCore, StabilityClass, StoreFormat, VerifierConfig,
-    VerifyOutcome, DEFAULT_MAX_ERRORS,
+    Budget, Program, SessionHost, StabilityClass, VerifierConfig, VerifyOutcome,
+    DEFAULT_MAX_ERRORS,
 };
 use daenerys_obs::ColorMode;
 use std::io::IsTerminal;
@@ -67,10 +66,8 @@ fn usage() -> ! {
          \x20 --threads N            verification fan-out (0 = one per CPU)\n\
          \x20 --timeout-ms N         per-method wall-clock budget\n\
          \x20 --fuel N               per-method solver-fuel budget\n\
-         \x20 --solver CORE          cdcl (default) | dpll\n\
          \x20 --deny-unstable        fail methods with unstable contracts\n\
          \x20 --cache-dir PATH       persistent verdict store (incremental)\n\
-         \x20 --store-format FMT     daes1 | jsonl\n\
          \x20 --max-errors N         parse-diagnostic cap (default {DEFAULT_MAX_ERRORS})\n\
          \n\
          watch flags:\n\
@@ -141,21 +138,7 @@ fn parse_cli() -> Cli {
             "--threads" => cli.config.threads = parse_num(&value("a count"), a),
             "--timeout-ms" => budget = budget.with_deadline_ms(parse_num(&value("ms"), a) as u64),
             "--fuel" => budget = budget.with_solver_fuel(parse_num(&value("a budget"), a) as u64),
-            "--solver" => {
-                cli.config.solver = SolverCore::parse(&value("dpll|cdcl")).unwrap_or_else(|| {
-                    eprintln!("daenerys: --solver needs `dpll` or `cdcl`");
-                    std::process::exit(2);
-                })
-            }
             "--cache-dir" => cli.config.cache_dir = Some(PathBuf::from(value("a directory"))),
-            "--store-format" => {
-                cli.config.store_format = Some(
-                    StoreFormat::parse(&value("daes1|jsonl")).unwrap_or_else(|| {
-                        eprintln!("daenerys: --store-format needs `daes1` or `jsonl`");
-                        std::process::exit(2);
-                    }),
-                )
-            }
             "--max-errors" => cli.max_errors = parse_num(&value("a count"), a),
             "--interval-ms" => cli.interval_ms = parse_num(&value("ms"), a) as u64,
             "--expect-reverified" => cli.expect_reverified = Some(parse_num(&value("a count"), a)),

@@ -27,6 +27,24 @@ fn stdout(out: &Output) -> String {
 }
 
 #[test]
+fn solver_and_store_format_flags_are_unknown() {
+    let dir = scratch("removed-flags");
+    for args in [
+        ["verify", "--solver", "dpll", "a.idf"],
+        ["verify", "--store-format", "jsonl", "a.idf"],
+    ] {
+        let out = daenerys(&dir, &args);
+        assert_eq!(out.status.code(), Some(2), "{:?} is a usage error", args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag {:?}", args[1])),
+            "stderr names the flag: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn caret_underlines_point_at_the_offending_read() {
     let dir = scratch("caret");
     std::fs::write(

@@ -601,8 +601,8 @@ fn process(shared: &Arc<Shared>, req: &Request, sid: u64, reqno: u64) -> Respons
             if let Some(t) = &shared.telemetry {
                 let reg = t.registry();
                 let s = &outcome.stats;
-                // Fuel proxy: the budget units both solver cores
-                // meter (CDCL conflicts/propagations, DPLL branches).
+                // Fuel proxy: the search's work units (conflicts,
+                // propagations, decisions).
                 let fuel = (s.solver_conflicts + s.solver_propagations + s.solver_branches) as u64;
                 reg.record("daenerysd.fuel", &labels, fuel);
                 reg.add("daenerysd.cache_hits", &labels, s.cache_hits as u64);

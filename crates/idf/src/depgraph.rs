@@ -25,8 +25,7 @@
 //! only costs extra re-verification.
 //!
 //! The graph file (`depgraph.jsonl`, one node per line) lives next to
-//! the verdict store in the cache directory and is format-independent:
-//! migrating the store between JSONL and `DAES1` leaves it alone.
+//! the verdict store's shards in the cache directory.
 
 use crate::ast::Program;
 use crate::fingerprint::{direct_callees, interface_fingerprint, Fingerprint};

@@ -3,10 +3,11 @@
 //! most-expensive-query log that feeds it, and the order-insensitive
 //! path-condition hash used to correlate solver-query trace events.
 //!
-//! Everything here is deterministic: costs are DPLL branches (never
-//! wall time), the query log breaks ties by arrival order, and the
-//! path-condition hash is invariant under condition reordering — so
-//! reports and trace events are bit-identical at any thread count.
+//! Everything here is deterministic: costs are solver fuel units
+//! (conflicts + propagations, never wall time), the query log breaks
+//! ties by arrival order, and the path-condition hash is invariant
+//! under condition reordering — so reports and trace events are
+//! bit-identical at any thread count.
 
 use crate::smt::Answer;
 use crate::sym::TermId;
@@ -20,7 +21,8 @@ pub const HOT_QUERY_LIMIT: usize = 5;
 pub struct QueryCost {
     /// What was being checked (obligation description or query site).
     pub description: String,
-    /// DPLL branches this query burned (0 for cache hits).
+    /// Solver fuel (conflicts + propagations) this query burned (0 for
+    /// cache hits).
     pub fuel: u64,
     /// Whether the query-cache answered it.
     pub cache_hit: bool,
@@ -129,7 +131,7 @@ impl fmt::Display for StabilityLint {
 }
 
 /// A bounded log of the most expensive solver queries seen while
-/// verifying one method. Cost is DPLL branches; ties keep the earlier
+/// verifying one method. Cost is solver fuel; ties keep the earlier
 /// query (arrival order), so the log is deterministic.
 #[derive(Debug, Default)]
 pub(crate) struct QueryLog {

@@ -26,7 +26,7 @@
 use crate::ast::{fraction_literal, Assertion, Expr, Op, Program, Stmt, Type};
 use crate::budget::{Budget, BudgetAxis, FaultKind, FaultPlan};
 use crate::diag::{self, FailureReport, QueryCost, QueryLog};
-use crate::smt::{Answer, Solver, SolverCore};
+use crate::smt::{Answer, Solver};
 use crate::stability::{self, StabilityClass};
 use crate::sym::{Sort, Sym, SymSupply, Term, TermArena, TermId, Witness};
 use daenerys_algebra::Q;
@@ -78,10 +78,10 @@ pub struct VerifierConfig {
     /// argument ordering, neutral/absorbing-element elimination) so
     /// equal obligations hash-cons to the same term (default: `true`).
     pub simplify: bool,
-    /// Enable the clause-learning solver core: unit propagation,
-    /// pure-literal elimination, and conflict clauses retained across
-    /// queries within a method (default: `true`). Off reproduces the
-    /// naive DPLL bit for bit.
+    /// Enable clause learning in the CDCL search: first-UIP conflict
+    /// clauses, with lemmas retained across queries within a method
+    /// (default: `true`). Off runs the same search with chronological
+    /// backtracking; answers are identical either way.
     pub learn: bool,
     /// Fail any method whose specification contains an assertion the
     /// static stability analyzer classifies
@@ -89,12 +89,6 @@ pub struct VerifierConfig {
     /// *answer-affecting* knob and is part of the incremental
     /// fingerprint.
     pub deny_unstable: bool,
-    /// Which search core the solver runs (default: [`SolverCore::Cdcl`];
-    /// `--solver=dpll` selects the legacy case-splitting core). Both
-    /// cores answer identically on the supported fragment, but the
-    /// selector is answer-affecting in principle and is part of the
-    /// incremental fingerprint.
-    pub solver: SolverCore,
     /// Attach rendered per-finding provenance to `stability.classify`
     /// trace events (default: `false`). Cost only, never answers.
     pub explain_stability: bool,
@@ -103,12 +97,6 @@ pub struct VerifierConfig {
     /// fingerprint matches a prior `Verified`/`Failed` entry are not
     /// re-verified (default: `None` — every method is verified).
     pub cache_dir: Option<std::path::PathBuf>,
-    /// On-disk encoding for the verdict store (default: `None` —
-    /// auto-detect whatever [`VerifierConfig::cache_dir`] already
-    /// holds, with fresh directories starting in the sharded `DAES1`
-    /// binary format). Cost only: the encoding never changes answers
-    /// and is excluded from the incremental fingerprint.
-    pub store_format: Option<crate::store::StoreFormat>,
     /// The flight recorder (default: disabled — zero overhead).
     /// Workers buffer events per method and [`Verifier::verify_all`]'s
     /// merge path emits them in program order, so traces are
@@ -127,10 +115,8 @@ impl Default for VerifierConfig {
             simplify: true,
             learn: true,
             deny_unstable: false,
-            solver: SolverCore::default(),
             explain_stability: false,
             cache_dir: None,
-            store_format: None,
             trace: TraceHandle::disabled(),
         }
     }
@@ -329,17 +315,17 @@ pub struct VerifyStats {
     pub obligations: usize,
     /// Solver entailment/consistency queries.
     pub solver_queries: usize,
-    /// Search branches explored: DPLL search-node entries under the
-    /// legacy core, decisions under CDCL.
+    /// CDCL decisions (reported as `dpll_branches` by the evaluation
+    /// harness).
     pub solver_branches: usize,
-    /// CDCL conflicts (0 under the legacy core).
+    /// CDCL conflicts.
     pub solver_conflicts: usize,
-    /// CDCL restarts (Luby schedule; 0 under the legacy core).
+    /// CDCL restarts (Luby schedule).
     pub solver_restarts: usize,
-    /// Literals assigned by unit propagation (0 under the legacy core).
+    /// Literals assigned by unit propagation.
     pub solver_propagations: usize,
     /// Literals assigned by theory propagation (congruence closure and
-    /// difference-bound strengthening; 0 under the legacy core).
+    /// difference-bound strengthening).
     pub theory_props: usize,
     /// Solver query-cache hits (whole queries answered from memory).
     pub cache_hits: usize,
@@ -613,7 +599,6 @@ impl<'a> Verifier<'a> {
         let mut solver = Solver::new();
         solver.cache_enabled = config.cache;
         solver.learn_enabled = config.learn;
-        solver.core = config.solver;
         let mut arena = TermArena::new();
         arena.set_simplify(config.simplify);
         let collector = config.trace.collector();
@@ -765,10 +750,7 @@ impl<'a> Verifier<'a> {
             .config
             .cache_dir
             .as_deref()
-            .map(|dir| match self.config.store_format {
-                Some(format) => crate::store::VerdictStore::open_with(dir, format),
-                None => crate::store::VerdictStore::open(dir),
-            });
+            .map(crate::store::VerdictStore::open);
         if let Some(store) = &store {
             // Surface crash-mid-append damage as counters: a truncated
             // final line costs one verdict, never the store.
@@ -809,7 +791,7 @@ impl<'a> Verifier<'a> {
         //
         // Entries are keyed `{method}@{config-fingerprint}` so runs
         // under different answer-affecting configs (daemon tenants
-        // with different budgets, a `--solver` flip) coexist in one
+        // with different budgets, a `--no-learn` flip) coexist in one
         // store instead of thrashing each other's entries — and
         // tenants with *identical* config share one warm read side.
         let mut fingerprints: Vec<Option<crate::fingerprint::Fingerprint>> =
@@ -1337,13 +1319,9 @@ impl<'a> Verifier<'a> {
         }
         if self.solver.fuel_exhausted {
             let limit = self.config.budget.solver_fuel.unwrap_or(0);
-            let unit = match self.config.solver {
-                SolverCore::Cdcl => "conflict+propagation",
-                SolverCore::Dpll => "DPLL branch",
-            };
             self.exhausted = Some((
                 BudgetAxis::SolverFuel,
-                format!("{} fuel of {} ran out", unit, limit),
+                format!("conflict+propagation fuel of {} ran out", limit),
             ));
             return false;
         }
@@ -1402,21 +1380,14 @@ impl<'a> Verifier<'a> {
     /// entries, the extra cost is two counter snapshots.
     fn query(&mut self, pc: &[TermId], goal: TermId, site: &str) -> Answer {
         let hits_before = self.solver.cache_hits;
-        let branches_before = self.solver.branches;
         let conflicts_before = self.solver.conflicts;
         let propagations_before = self.solver.propagations;
         let learned_before = self.solver.learned_clauses;
         let answer = self.solver.entails(&mut self.arena, pc, goal);
         // Per-query fuel mirrors the budget's unit: conflicts +
-        // propagations under CDCL, search-node entries under the
-        // legacy DPLL core.
-        let fuel = match self.config.solver {
-            SolverCore::Cdcl => {
-                (self.solver.conflicts - conflicts_before) as u64
-                    + (self.solver.propagations - propagations_before) as u64
-            }
-            SolverCore::Dpll => (self.solver.branches - branches_before) as u64,
-        };
+        // propagations.
+        let fuel = (self.solver.conflicts - conflicts_before) as u64
+            + (self.solver.propagations - propagations_before) as u64;
         let learned = (self.solver.learned_clauses - learned_before) as u64;
         let traced = self.collector.is_enabled();
         if traced || self.query_log.accepts(fuel) {

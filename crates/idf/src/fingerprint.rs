@@ -145,15 +145,14 @@ pub fn config_text(backend: Backend, config: &VerifierConfig, method: &str) -> S
         .map(|k| format!("{:?}", k))
         .collect();
     format!(
-        "backend={:?};budget={:?};faults={:?};retry_unknown={};simplify={};learn={};deny_unstable={};solver={:?}",
+        "backend={:?};budget={:?};faults={:?};retry_unknown={};simplify={};learn={};deny_unstable={}",
         backend,
         config.budget,
         faults,
         config.retry_unknown,
         config.simplify,
         config.learn,
-        config.deny_unstable,
-        config.solver
+        config.deny_unstable
     )
 }
 
@@ -348,7 +347,6 @@ mod tests {
                 &VerifierConfig {
                     threads: 8,
                     cache: false,
-                    store_format: Some(crate::store::StoreFormat::Jsonl),
                     ..base.clone()
                 }
             ),
@@ -379,10 +377,6 @@ mod tests {
             },
             VerifierConfig {
                 deny_unstable: true,
-                ..base.clone()
-            },
-            VerifierConfig {
-                solver: crate::smt::SolverCore::Dpll,
                 ..base.clone()
             },
         ] {

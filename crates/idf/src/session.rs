@@ -40,13 +40,7 @@ impl SessionHost {
     /// opened once here and shared (warm) across every session; the
     /// per-request config never reopens it.
     pub fn new(backend: Backend, base: VerifierConfig) -> SessionHost {
-        let store = base
-            .cache_dir
-            .as_deref()
-            .map(|dir| match base.store_format {
-                Some(format) => VerdictStore::open_with(dir, format),
-                None => VerdictStore::open(dir),
-            });
+        let store = base.cache_dir.as_deref().map(VerdictStore::open);
         let store_corrupt_lines = store.as_ref().map_or(0, VerdictStore::corrupt_lines);
         SessionHost {
             backend,

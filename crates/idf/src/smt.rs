@@ -3,10 +3,15 @@
 //! Viper delegates these queries to Z3; building the full substrate
 //! ourselves, we implement the fragment the IDF case studies need:
 //!
-//! * boolean structure by DPLL-style case splitting;
-//! * linear integer arithmetic by Fourier–Motzkin elimination with
-//!   integer tightening (`a < b` ⇒ `a ≤ b − 1`);
-//! * reference equalities by union-find with disequality checking.
+//! * boolean structure by CDCL search: two-watched-literal
+//!   propagation, first-UIP clause learning, VSIDS ordering, Luby
+//!   restarts;
+//! * theory propagation inside the search: congruence closure over
+//!   reference equalities and exact rational difference bounds over
+//!   linear atoms;
+//! * a full theory check at each total assignment: union-find with
+//!   disequality checking, and Fourier–Motzkin elimination with
+//!   integer tightening (`a < b` ⇒ `a ≤ b − 1`).
 //!
 //! The procedure is **sound for verification**: `Valid` is only
 //! answered when `pc → goal` holds. Nonlinear or otherwise unsupported
@@ -20,8 +25,8 @@
 //!   the same consistency/entailment queries constantly (branch joins,
 //!   repeated spec boundaries), and a repeat is answered without any
 //!   solving;
-//! * a **theory cache** keyed on the set of theory literals of a full
-//!   DPLL assignment — union-find construction, Gaussian substitution,
+//! * a **theory cache** keyed on the set of theory literals of a total
+//!   assignment — union-find construction, Gaussian substitution,
 //!   and Fourier–Motzkin elimination are all functions of that set
 //!   alone, so queries whose path conditions share a prefix reuse the
 //!   ground-theory work of their common branches instead of repeating
@@ -30,15 +35,14 @@
 //! Both caches are exact (keys are complete inputs of the computation
 //! they index), so answers are bit-identical with caching on or off;
 //! `cache_enabled` exists to measure the difference, not to change it.
+//!
+//! Test builds also carry a naive recursive DPLL over the same atoms
+//! and theory check (`oracle`), the reference the CDCL search is
+//! differentially checked against.
 
 use crate::sym::{Sort, Sym, SymExpr, Term, TermArena, TermId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
-
-/// Largest theory-conflict core the solver will try to minimize.
-/// Minimization costs one (memoized) theory check per literal, so huge
-/// leaf assignments are learned from only when they are worth the scan.
-const MINIMIZE_LIMIT: usize = 64;
 
 /// Widest clause retained after minimization. Wide clauses almost never
 /// propagate (every literal must be falsified first) but are scanned on
@@ -49,63 +53,13 @@ const MAX_LEARN_WIDTH: usize = 8;
 /// clearing keeps real runs far below it).
 const MAX_LEARNED_CLAUSES: usize = 512;
 
-/// Per-method budget of theory checks spent on conflict analysis
-/// (core re-verification + minimization trials). Structured corpora
-/// learn their few useful lemmas within it; pathological corpora whose
-/// every leaf conflicts on a *distinct* core (e.g. the diverging
-/// sweep) exhaust it quickly and fall back to plain search instead of
-/// paying a Fourier–Motzkin run per literal per conflict. Refilled by
-/// [`Solver::clear_learned`] at method boundaries, so it is
-/// deterministic per method and thread-count independent.
-const LEARN_FUEL_PER_METHOD: u64 = 256;
-
-/// Search-loop iterations between wall-clock deadline polls (a power of
+/// CDCL loop iterations between wall-clock deadline polls (a power of
 /// two; the check is a masked counter increment on the off iterations).
 /// The first iteration of every search polls immediately, so an
 /// already-expired deadline aborts before any work; thereafter at most
-/// 64 conflicts/branches run between polls, which bounds how far a hard
-/// query can overshoot its deadline.
+/// 64 conflicts/decisions run between polls, which bounds how far a
+/// hard query can overshoot its deadline.
 const DEADLINE_POLL_MASK: u32 = 63;
-
-/// Which search core answers satisfiability queries.
-///
-/// Both cores decide the same fragment and return identical answers on
-/// every query (the differential proptests pin this); they differ only
-/// in cost. The selector is answer-affecting *in principle* (a future
-/// core could change Unknown frontiers), so it is part of the verdict
-/// fingerprint.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub enum SolverCore {
-    /// The legacy recursive case-splitting DPLL, with the optional
-    /// clause-learning extension ([`Solver::learn_enabled`]).
-    Dpll,
-    /// Conflict-driven clause learning: two-watched-literal
-    /// propagation, first-UIP analysis with clause minimization,
-    /// deterministic VSIDS ordering, LBD-based clause deletion on a
-    /// fixed cadence, Luby restarts, and a theory-propagation layer
-    /// (congruence closure + difference bounds).
-    #[default]
-    Cdcl,
-}
-
-impl SolverCore {
-    /// Parses the `--solver` flag value.
-    pub fn parse(s: &str) -> Option<SolverCore> {
-        match s {
-            "dpll" => Some(SolverCore::Dpll),
-            "cdcl" => Some(SolverCore::Cdcl),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling (`dpll`/`cdcl`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SolverCore::Dpll => "dpll",
-            SolverCore::Cdcl => "cdcl",
-        }
-    }
-}
 
 /// The answer to an entailment query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -244,7 +198,8 @@ pub struct Solver {
     pub sorts: BTreeMap<Sym, Sort>,
     /// Number of entailment queries answered.
     pub queries: usize,
-    /// Number of DPLL branches explored across all queries.
+    /// CDCL decisions across all queries (reported as
+    /// `dpll_branches` by the evaluation harness).
     pub branches: usize,
     /// Whether the memo layers are consulted (answers are identical
     /// either way; off = measure the uncached cost).
@@ -260,11 +215,10 @@ pub struct Solver {
     pub theory_hits: usize,
     /// Theory-cache misses.
     pub theory_misses: usize,
-    /// Remaining solver fuel; `None` means unlimited. Under the CDCL
-    /// core one unit is charged per conflict and per propagated
-    /// literal; under the legacy DPLL core each search-node entry
-    /// consumes one unit. At zero the solver answers `Unknown` instead
-    /// of searching further (cooperative budget exhaustion).
+    /// Remaining solver fuel; `None` means unlimited. One unit is
+    /// charged per conflict and per propagated literal. At zero the
+    /// solver answers `Unknown` instead of searching further
+    /// (cooperative budget exhaustion).
     pub fuel: Option<u64>,
     /// Sticky flag: set once any query was truncated by fuel
     /// exhaustion. Truncated answers are never cached (the caches must
@@ -272,8 +226,8 @@ pub struct Solver {
     pub fuel_exhausted: bool,
     /// Wall-clock deadline for the current method's queries; `None`
     /// means unlimited. Unlike the per-method deadline check at
-    /// statement boundaries, this one is polled *inside* the search
-    /// loops (every `DEADLINE_POLL_MASK + 1` conflicts/branches), so a
+    /// statement boundaries, this one is polled *inside* the CDCL loop
+    /// (every `DEADLINE_POLL_MASK + 1` conflicts/decisions), so a
     /// single pathologically hard query still returns `Unknown` within
     /// a small multiple of its deadline instead of running to
     /// completion.
@@ -282,26 +236,21 @@ pub struct Solver {
     /// Like fuel truncation, a deadline-truncated answer reflects the
     /// budget, not the formula, and is never cached.
     pub deadline_exhausted: bool,
-    /// Poll counter for the deadline check in the non-CDCL search loops.
-    deadline_poll: u32,
     /// Fault injection: degrade every answer to `Answer::Unknown` once
     /// `queries` exceeds this count. Injected answers bypass the caches
     /// entirely.
     pub unknown_after: Option<usize>,
-    /// Whether the clause-learning search core runs: unit propagation,
-    /// pure-literal elimination on boolean symbols, and conflict-driven
-    /// clause learning with lemmas retained across queries (cleared at
-    /// method boundaries by the verifier). Learned clauses are valid
-    /// theory lemmas, so they change cost, never answers; off
-    /// reproduces the plain case-splitting DPLL for measurement.
+    /// Whether the search learns: first-UIP conflict clauses and
+    /// theory-explanation clauses within a query, with untainted
+    /// lemmas retained across queries (cleared at method boundaries
+    /// by the verifier). Learned clauses are valid theory lemmas, so
+    /// they change cost, never answers; off runs the same engine with
+    /// chronological backtracking, for measurement.
     pub learn_enabled: bool,
     /// Total theory-conflict clauses learned across all queries
     /// (monotone; clearing retained clauses does not reset it).
     pub learned_clauses: usize,
-    /// Which search core answers queries (CDCL by default; the legacy
-    /// DPLL stays selectable via `--solver=dpll`).
-    pub core: SolverCore,
-    /// CDCL conflicts across all queries (0 under the legacy core).
+    /// CDCL conflicts across all queries.
     pub conflicts: usize,
     /// CDCL restarts across all queries (Luby schedule).
     pub restarts: usize,
@@ -314,7 +263,6 @@ pub struct Solver {
     theory_cache: HashMap<Vec<(Atom, bool)>, SatAnswer>,
     learned: Vec<Vec<(Atom, bool)>>,
     learned_index: HashSet<Vec<(Atom, bool)>>,
-    learn_fuel: u64,
 }
 
 impl Default for Solver {
@@ -332,11 +280,9 @@ impl Default for Solver {
             fuel_exhausted: false,
             deadline: None,
             deadline_exhausted: false,
-            deadline_poll: 0,
             unknown_after: None,
             learn_enabled: true,
             learned_clauses: 0,
-            core: SolverCore::default(),
             conflicts: 0,
             restarts: 0,
             propagations: 0,
@@ -345,7 +291,6 @@ impl Default for Solver {
             theory_cache: HashMap::new(),
             learned: Vec::new(),
             learned_index: HashSet::new(),
-            learn_fuel: LEARN_FUEL_PER_METHOD,
         }
     }
 }
@@ -407,30 +352,6 @@ impl Solver {
         answer
     }
 
-    /// Polls the wall-clock deadline (every [`DEADLINE_POLL_MASK`]+1
-    /// calls; the first call always checks). Returns `true` — setting
-    /// the sticky `deadline_exhausted` flag — once the deadline has
-    /// passed; the search loops then abandon the query with
-    /// `SatAnswer::Unknown`.
-    fn deadline_tripped(&mut self) -> bool {
-        if self.deadline_exhausted {
-            return true;
-        }
-        let Some(deadline) = self.deadline else {
-            return false;
-        };
-        self.deadline_poll = self.deadline_poll.wrapping_add(1);
-        if self.deadline_poll & DEADLINE_POLL_MASK != 1 {
-            return false;
-        }
-        if Instant::now() >= deadline {
-            self.deadline_exhausted = true;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Checks whether the path condition is consistent (used to prune
     /// infeasible branches). `consistent(pc)` is `pc ⊭ false` with
     /// Unknown treated as consistent (conservative: keep exploring), so
@@ -453,43 +374,23 @@ impl Solver {
         self.entails(arena, &pc_ids, g)
     }
 
-    /// Forgets the learned clauses and refills the conflict-analysis
-    /// fuel. The verifier calls this at every method boundary: each
-    /// method's lemma set is then a function of that method's own query
-    /// sequence, which is what keeps verdicts, stats, and traces
-    /// bit-identical at any worker count.
+    /// Forgets the retained learned clauses. The verifier calls this at
+    /// every method boundary: each method's lemma set is then a
+    /// function of that method's own query sequence, which is what
+    /// keeps verdicts, stats, and traces bit-identical at any worker
+    /// count.
     pub fn clear_learned(&mut self) {
         self.learned.clear();
         self.learned_index.clear();
-        self.learn_fuel = LEARN_FUEL_PER_METHOD;
     }
 
     fn sat(&mut self, arena: &mut TermArena, f: TermId) -> SatAnswer {
         let mut atoms = AtomTable::default();
         let skeleton = self.abstract_bool(arena, f, true, &mut atoms);
-        if self.core == SolverCore::Cdcl {
-            return self.cdcl_sat(&skeleton, &atoms);
-        }
-        let mut assignment: Vec<Option<bool>> = vec![None; atoms.list.len()];
-        if !self.learn_enabled {
-            return self.dpll(&skeleton, &atoms.list, &mut assignment);
-        }
-        // Instantiate retained lemmas over this query's atom table. A
-        // clause applies only when every one of its atoms occurs in the
-        // formula — so propagation never assigns atoms the formula does
-        // not mention, and the leaf theory keys stay comparable to the
-        // naive search's.
-        let clauses: Vec<Vec<(usize, bool)>> = self
-            .learned
-            .iter()
-            .filter_map(|clause| {
-                clause
-                    .iter()
-                    .map(|(a, pol)| atoms.index.get(a).map(|&i| (i, *pol)))
-                    .collect()
-            })
-            .collect();
-        self.cdpll(&skeleton, &atoms.list, &clauses, &mut assignment)
+        let answer = self.cdcl_sat(&skeleton, &atoms);
+        #[cfg(test)]
+        oracle::cross_check(&skeleton, &atoms.list, answer);
+        answer
     }
 
     /// Answers one satisfiability query with the CDCL core.
@@ -499,9 +400,8 @@ impl Solver {
     /// retained cross-query lemmas are instantiated as initial clauses,
     /// and the engine runs to a verdict. Afterwards the engine's
     /// untainted conflict lemmas over pure atom variables are exported
-    /// back into the cross-query store, exactly like the legacy
-    /// clause-learning core, and the engine's counters and remaining
-    /// fuel fold into the solver's.
+    /// back into the cross-query store, and the engine's counters and
+    /// remaining fuel fold into the solver's.
     fn cdcl_sat(&mut self, skeleton: &BForm, atoms: &AtomTable) -> SatAnswer {
         let mut eng = CdclEngine::new(
             atoms.list.clone(),
@@ -515,7 +415,8 @@ impl Solver {
         }
         if self.learn_enabled {
             // Instantiate retained lemmas whose atoms all occur in this
-            // query (same applicability rule as the legacy core).
+            // query, so propagation never assigns atoms the formula
+            // does not mention.
             let instantiated: Vec<Vec<(usize, bool)>> = self
                 .learned
                 .iter()
@@ -726,284 +627,15 @@ impl Solver {
         }
     }
 
-    fn dpll(
-        &mut self,
-        skeleton: &BForm,
-        atoms: &[Atom],
-        assignment: &mut Vec<Option<bool>>,
-    ) -> SatAnswer {
-        match self.fuel {
-            Some(0) => {
-                self.fuel_exhausted = true;
-                return SatAnswer::Unknown;
-            }
-            Some(f) => self.fuel = Some(f - 1),
-            None => {}
-        }
-        if self.deadline_tripped() {
-            return SatAnswer::Unknown;
-        }
-        self.branches += 1;
-        match simplify(skeleton, assignment) {
-            BForm::False => SatAnswer::Unsat,
-            BForm::True => self.theory_check(atoms, assignment),
-            reduced => {
-                let pick = first_lit(&reduced).expect("non-constant form has a literal");
-                assignment[pick] = Some(true);
-                let r1 = self.dpll(&reduced, atoms, assignment);
-                if r1 == SatAnswer::Sat {
-                    assignment[pick] = None;
-                    return SatAnswer::Sat;
-                }
-                assignment[pick] = Some(false);
-                let r2 = self.dpll(&reduced, atoms, assignment);
-                assignment[pick] = None;
-                match (r1, r2) {
-                    (_, SatAnswer::Sat) => SatAnswer::Sat,
-                    (SatAnswer::Unsat, SatAnswer::Unsat) => SatAnswer::Unsat,
-                    _ => SatAnswer::Unknown,
-                }
-            }
-        }
-    }
-
-    /// The clause-learning search: [`Solver::dpll`] extended with unit
-    /// propagation (formula conjuncts and learned-clause units),
-    /// pure-literal elimination on boolean symbols, and pruning by the
-    /// retained lemmas. Fuel and branch accounting are identical to the
-    /// naive search — one unit of each per entry — so budgets compare
-    /// the two cores on equal terms.
-    fn cdpll(
-        &mut self,
-        skeleton: &BForm,
-        atoms: &[Atom],
-        clauses: &[Vec<(usize, bool)>],
-        assignment: &mut Vec<Option<bool>>,
-    ) -> SatAnswer {
-        match self.fuel {
-            Some(0) => {
-                self.fuel_exhausted = true;
-                return SatAnswer::Unknown;
-            }
-            Some(f) => self.fuel = Some(f - 1),
-            None => {}
-        }
-        if self.deadline_tripped() {
-            return SatAnswer::Unknown;
-        }
-        self.branches += 1;
-        // Only boolean symbols are ever purified, so the whole
-        // pure-literal pass (a formula walk plus a polarity map per
-        // propagation round) is skipped on the many queries that are
-        // pure arithmetic.
-        let has_bool_syms = atoms.iter().any(|a| matches!(a, Atom::BoolSym(_)));
-        // Literals assigned by propagation in this frame, unwound on
-        // every exit path.
-        let mut trail: Vec<usize> = Vec::new();
-        let verdict = 'search: loop {
-            let current = simplify(skeleton, assignment);
-            if matches!(current, BForm::False) {
-                break 'search SatAnswer::Unsat;
-            }
-            // A falsified lemma refutes the branch before any theory
-            // work: the clause is valid in every theory model.
-            let mut unit: Option<(usize, bool)> = None;
-            for clause in clauses {
-                let mut satisfied = false;
-                let mut open = None;
-                let mut open_count = 0;
-                for &(i, pol) in clause {
-                    match assignment[i] {
-                        Some(v) if v == pol => {
-                            satisfied = true;
-                            break;
-                        }
-                        Some(_) => {}
-                        None => {
-                            open_count += 1;
-                            open = Some((i, pol));
-                        }
-                    }
-                }
-                if satisfied {
-                    continue;
-                }
-                if open_count == 0 {
-                    break 'search SatAnswer::Unsat;
-                }
-                if open_count == 1 && unit.is_none() {
-                    unit = open;
-                }
-            }
-            if matches!(current, BForm::True) {
-                break 'search self.decide_leaf(atoms, assignment);
-            }
-            if let Some((i, pol)) = unit {
-                assignment[i] = Some(pol);
-                trail.push(i);
-                continue;
-            }
-            // Unit propagation from the formula: bare literals on the
-            // reduced conjunction spine are forced.
-            let mut units: Vec<(usize, bool)> = Vec::new();
-            collect_units(&current, &mut units);
-            let mut forced = false;
-            for (i, pol) in units {
-                match assignment[i] {
-                    None => {
-                        assignment[i] = Some(pol);
-                        trail.push(i);
-                        forced = true;
-                    }
-                    Some(v) if v != pol => break 'search SatAnswer::Unsat,
-                    Some(_) => {}
-                }
-            }
-            if forced {
-                continue;
-            }
-            // Pure-literal elimination, boolean symbols only. A
-            // BoolSym atom has no theory meaning, so committing its
-            // unique polarity preserves satisfiability exactly. Theory
-            // atoms are NOT safe to purify: assigning a pure `x ≤ 0`
-            // true strengthens the constraint set a leaf hands the
-            // theories and could flip a satisfiable leaf to conflict.
-            if has_bool_syms {
-                let mut polarity: BTreeMap<usize, (bool, bool)> = BTreeMap::new();
-                collect_polarities(&current, &mut polarity);
-                for clause in clauses {
-                    if clause.iter().any(|&(i, pol)| assignment[i] == Some(pol)) {
-                        continue;
-                    }
-                    for &(i, pol) in clause {
-                        if assignment[i].is_none() {
-                            let e = polarity.entry(i).or_insert((false, false));
-                            if pol {
-                                e.0 = true;
-                            } else {
-                                e.1 = true;
-                            }
-                        }
-                    }
-                }
-                let mut purified = false;
-                for (i, (pos, neg)) in &polarity {
-                    if pos != neg
-                        && assignment[*i].is_none()
-                        && matches!(atoms[*i], Atom::BoolSym(_))
-                    {
-                        assignment[*i] = Some(*pos);
-                        trail.push(*i);
-                        purified = true;
-                    }
-                }
-                if purified {
-                    continue;
-                }
-            }
-            // Branch, deterministically, on the first open literal.
-            let pick = first_lit(&current).expect("non-constant form has a literal");
-            assignment[pick] = Some(true);
-            let r1 = self.cdpll(&current, atoms, clauses, assignment);
-            if r1 == SatAnswer::Sat {
-                assignment[pick] = None;
-                break 'search SatAnswer::Sat;
-            }
-            assignment[pick] = Some(false);
-            let r2 = self.cdpll(&current, atoms, clauses, assignment);
-            assignment[pick] = None;
-            break 'search match (r1, r2) {
-                (_, SatAnswer::Sat) => SatAnswer::Sat,
-                (SatAnswer::Unsat, SatAnswer::Unsat) => SatAnswer::Unsat,
-                _ => SatAnswer::Unknown,
-            };
-        };
-        for i in trail {
-            assignment[i] = None;
-        }
-        verdict
-    }
-
-    /// Theory-checks a leaf of the clause-learning search and, on
-    /// conflict, learns a minimized refutation clause.
-    fn decide_leaf(&mut self, atoms: &[Atom], assignment: &[Option<bool>]) -> SatAnswer {
-        let key = theory_key(atoms, assignment);
-        let verdict = self.theory_decide(key.clone());
-        if verdict == SatAnswer::Unsat {
-            self.learn_conflict(&key);
-        }
-        verdict
-    }
-
-    /// Learns the negation of a minimized theory-conflict core as a
-    /// clause. Cores are LinLe/RefEq literals only — boolean symbols
-    /// never feed the theories, and `Opaque` atoms can only degrade a
-    /// verdict toward `Unknown`, so a conflict never depends on either.
-    fn learn_conflict(&mut self, key: &[(Atom, bool)]) {
-        if self.learned.len() >= MAX_LEARNED_CLAUSES {
-            return;
-        }
-        let mut core: Vec<(Atom, bool)> = key
-            .iter()
-            .filter(|(a, _)| matches!(a, Atom::LinLe(_) | Atom::RefEq(..)))
-            .cloned()
-            .collect();
-        if core.is_empty() || core.len() > MINIMIZE_LIMIT {
-            return;
-        }
-        // Conflict analysis costs one theory check to re-verify the
-        // filtered core plus up to one minimization trial per literal.
-        // Charge the worst case against the per-method fuel up front:
-        // once it runs dry, conflicts stop being analyzed and search
-        // proceeds at plain-DPLL cost (answers are unaffected — lemmas
-        // only ever prune).
-        let needed = 1 + core.len() as u64;
-        if self.learn_fuel < needed {
-            return;
-        }
-        self.learn_fuel -= needed;
-        if self.theory_decide(core.clone()) != SatAnswer::Unsat {
-            return;
-        }
-        // Greedy single-pass minimization: drop every literal whose
-        // removal keeps the core in conflict (each trial is a memoized
-        // theory check). Literals whose removal degrades the verdict to
-        // Unknown are kept — a lemma must be certain.
-        let mut i = 0;
-        while i < core.len() && core.len() > 1 {
-            let mut trial = core.clone();
-            trial.remove(i);
-            if self.theory_decide(trial) == SatAnswer::Unsat {
-                core.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        if core.len() > MAX_LEARN_WIDTH {
-            return;
-        }
-        let clause: Vec<(Atom, bool)> = core.into_iter().map(|(a, pol)| (a, !pol)).collect();
-        if self.learned_index.insert(clause.clone()) {
-            self.learned.push(clause);
-            self.learned_clauses += 1;
-        }
-    }
-
-    /// Checks a full propositional assignment against the theories.
+    /// Checks a total assignment, given as its sorted, deduplicated
+    /// theory-literal set, against the theories (see
+    /// [`decide_theory`]).
     ///
-    /// The verdict is a function of the *set* of assigned theory
-    /// literals alone (union-find connectivity and Fourier–Motzkin are
-    /// order-independent), so it is memoized on the sorted literal set:
-    /// DPLL leaves within one query, and across queries whose path
-    /// conditions share a prefix, reuse each other's ground work.
-    fn theory_check(&mut self, atoms: &[Atom], assignment: &[Option<bool>]) -> SatAnswer {
-        let key = theory_key(atoms, assignment);
-        self.theory_decide(key)
-    }
-
-    /// Decides a sorted, deduplicated theory-literal set (the memoized
-    /// core of [`Solver::theory_check`], also driven directly by
-    /// conflict-core minimization).
+    /// The verdict is a function of that set alone (union-find
+    /// connectivity and Fourier–Motzkin are order-independent), so it
+    /// is memoized on it: leaves within one query, and across queries
+    /// whose path conditions share a prefix, reuse each other's ground
+    /// work.
     fn theory_decide(&mut self, key: Vec<(Atom, bool)>) -> SatAnswer {
         if self.cache_enabled {
             if let Some(&cached) = self.theory_cache.get(&key) {
@@ -1012,60 +644,57 @@ impl Solver {
             }
             self.theory_misses += 1;
         }
-
-        // Opaque atoms poison certainty of Sat.
-        let mut unknown = false;
-        // --- References: union-find with disequalities.
-        let mut uf = UnionFind::new();
-        let mut disequalities: Vec<(RefTerm, RefTerm)> = Vec::new();
-        // --- Integers: Fourier–Motzkin.
-        let mut constraints: Vec<LinTerm> = Vec::new();
-
-        for (atom, polarity) in &key {
-            match atom {
-                Atom::LinLe(lin) => {
-                    if *polarity {
-                        constraints.push(lin.clone());
-                    } else {
-                        // ¬(lin ≤ 0) ⇔ -lin + 1 ≤ 0.
-                        constraints.push(lin.scale(-1).add(&LinTerm::constant(1)));
-                    }
-                }
-                Atom::BoolSym(_) => {}
-                Atom::RefEq(a, b) => {
-                    if *polarity {
-                        uf.union(*a, *b);
-                    } else {
-                        disequalities.push((*a, *b));
-                    }
-                }
-                Atom::Opaque(_) => unknown = true,
-            }
-        }
-
-        let mut result = SatAnswer::Sat;
-        for (a, b) in &disequalities {
-            if uf.find(*a) == uf.find(*b) {
-                result = SatAnswer::Unsat;
-            }
-        }
-
-        if result != SatAnswer::Unsat {
-            match fourier_motzkin(constraints) {
-                Some(false) => result = SatAnswer::Unsat,
-                Some(true) => {}
-                None => unknown = true,
-            }
-        }
-
-        if result != SatAnswer::Unsat && unknown {
-            result = SatAnswer::Unknown;
-        }
-
+        let result = decide_theory(&key);
         if self.cache_enabled {
             self.theory_cache.insert(key, result);
         }
         result
+    }
+}
+
+/// Decides a set of theory literals: union-find with disequalities for
+/// references, Fourier–Motzkin for linear integer constraints. Opaque
+/// atoms turn a would-be `Sat` into `Unknown`.
+fn decide_theory(key: &[(Atom, bool)]) -> SatAnswer {
+    // Opaque atoms poison certainty of Sat.
+    let mut unknown = false;
+    // --- References: union-find with disequalities.
+    let mut uf = UnionFind::new();
+    let mut disequalities: Vec<(RefTerm, RefTerm)> = Vec::new();
+    // --- Integers: Fourier–Motzkin.
+    let mut constraints: Vec<LinTerm> = Vec::new();
+
+    for (atom, polarity) in key {
+        match atom {
+            Atom::LinLe(lin) => {
+                if *polarity {
+                    constraints.push(lin.clone());
+                } else {
+                    // ¬(lin ≤ 0) ⇔ -lin + 1 ≤ 0.
+                    constraints.push(lin.scale(-1).add(&LinTerm::constant(1)));
+                }
+            }
+            Atom::BoolSym(_) => {}
+            Atom::RefEq(a, b) => {
+                if *polarity {
+                    uf.union(*a, *b);
+                } else {
+                    disequalities.push((*a, *b));
+                }
+            }
+            Atom::Opaque(_) => unknown = true,
+        }
+    }
+
+    for (a, b) in &disequalities {
+        if uf.find(*a) == uf.find(*b) {
+            return SatAnswer::Unsat;
+        }
+    }
+    match fourier_motzkin(constraints) {
+        Some(false) => SatAnswer::Unsat,
+        Some(true) if !unknown => SatAnswer::Sat,
+        _ => SatAnswer::Unknown,
     }
 }
 
@@ -1108,9 +737,9 @@ fn lit_neg(l: usize) -> usize {
 
 /// An exact rational variable bound `num/den` (`den > 0`), tagged with
 /// the literal that imposed it. Bounds stay rational — never rounded to
-/// integers — so the propagation layer proves exactly what the legacy
-/// core's (rational) Fourier–Motzkin leaf check proves, keeping the two
-/// cores answer-identical.
+/// integers — so the propagation layer proves exactly what the
+/// (rational) Fourier–Motzkin leaf check proves, and propagation never
+/// changes an answer.
 type RatBound = (i128, i128, usize);
 
 /// The result of a Tseitin encoding step.
@@ -1204,8 +833,8 @@ struct CdclEngine {
     flipped: Vec<bool>,
     qhead: usize,
     /// Variables occurring in the problem clauses — the only ones the
-    /// search decides, so unconstrained atoms stay unassigned exactly
-    /// as in the legacy core (their theory meaning is existential).
+    /// search decides, so unconstrained atoms stay unassigned (their
+    /// theory meaning is existential).
     decidable: Vec<bool>,
     activity: Vec<f64>,
     act_inc: f64,
@@ -1308,11 +937,10 @@ impl CdclEngine {
         }
     }
 
-    /// Engine-side twin of [`Solver::deadline_tripped`]: polls the
-    /// wall-clock deadline once per conflict/decision iteration of the
-    /// CDCL main loop (masked to one `Instant::now()` every
-    /// [`DEADLINE_POLL_MASK`]+1 iterations, with the first iteration
-    /// always checked).
+    /// Polls the wall-clock deadline once per conflict/decision
+    /// iteration of the CDCL main loop (masked to one `Instant::now()`
+    /// every [`DEADLINE_POLL_MASK`]+1 iterations, with the first
+    /// iteration always checked).
     fn deadline_tripped(&mut self) -> bool {
         if self.deadline_exhausted {
             return true;
@@ -2166,7 +1794,7 @@ impl CdclEngine {
     }
 
     /// The untainted conflict lemmas over pure atom variables, for
-    /// cross-query retention (same width cap as the legacy core).
+    /// cross-query retention (at most [`MAX_LEARN_WIDTH`] literals).
     fn exported(&self) -> Vec<Vec<(usize, bool)>> {
         self.clauses
             .iter()
@@ -2284,88 +1912,6 @@ fn ref_term(arena: &TermArena, id: TermId) -> Option<RefTerm> {
         Term::Null => Some(RefTerm::Null),
         Term::Sym(s) => Some(RefTerm::Sym(s)),
         _ => None,
-    }
-}
-
-fn simplify(f: &BForm, assignment: &[Option<bool>]) -> BForm {
-    match f {
-        BForm::True => BForm::True,
-        BForm::False => BForm::False,
-        BForm::Lit(i, pol) => match assignment[*i] {
-            None => BForm::Lit(*i, *pol),
-            Some(v) => {
-                if v == *pol {
-                    BForm::True
-                } else {
-                    BForm::False
-                }
-            }
-        },
-        BForm::And(a, b) => match (simplify(a, assignment), simplify(b, assignment)) {
-            (BForm::False, _) | (_, BForm::False) => BForm::False,
-            (BForm::True, x) | (x, BForm::True) => x,
-            (x, y) => BForm::And(Box::new(x), Box::new(y)),
-        },
-        BForm::Or(a, b) => match (simplify(a, assignment), simplify(b, assignment)) {
-            (BForm::True, _) | (_, BForm::True) => BForm::True,
-            (BForm::False, x) | (x, BForm::False) => x,
-            (x, y) => BForm::Or(Box::new(x), Box::new(y)),
-        },
-    }
-}
-
-fn first_lit(f: &BForm) -> Option<usize> {
-    match f {
-        BForm::True | BForm::False => None,
-        BForm::Lit(i, _) => Some(*i),
-        BForm::And(a, b) | BForm::Or(a, b) => first_lit(a).or_else(|| first_lit(b)),
-    }
-}
-
-/// The sorted, deduplicated assigned-literal set — the memoization key
-/// of a theory check and the raw material of a conflict core.
-fn theory_key(atoms: &[Atom], assignment: &[Option<bool>]) -> Vec<(Atom, bool)> {
-    let mut key: Vec<(Atom, bool)> = atoms
-        .iter()
-        .zip(assignment.iter())
-        .filter_map(|(a, v)| v.map(|pol| (a.clone(), pol)))
-        .collect();
-    key.sort_unstable();
-    key.dedup();
-    key
-}
-
-/// Collects the forced literals on the conjunction spine of a reduced
-/// formula: every bare literal conjoined at the top level must hold.
-fn collect_units(f: &BForm, out: &mut Vec<(usize, bool)>) {
-    match f {
-        BForm::Lit(i, pol) => out.push((*i, *pol)),
-        BForm::And(a, b) => {
-            collect_units(a, out);
-            collect_units(b, out);
-        }
-        _ => {}
-    }
-}
-
-/// Records which polarities each atom occurs with in a reduced formula
-/// (`.0` = positive seen, `.1` = negative seen). A `BTreeMap` keeps the
-/// subsequent pure-literal sweep deterministic.
-fn collect_polarities(f: &BForm, out: &mut BTreeMap<usize, (bool, bool)>) {
-    match f {
-        BForm::Lit(i, pol) => {
-            let e = out.entry(*i).or_insert((false, false));
-            if *pol {
-                e.0 = true;
-            } else {
-                e.1 = true;
-            }
-        }
-        BForm::And(a, b) | BForm::Or(a, b) => {
-            collect_polarities(a, out);
-            collect_polarities(b, out);
-        }
-        _ => {}
     }
 }
 
@@ -2515,10 +2061,140 @@ impl UnionFind {
     }
 }
 
+/// The reference the CDCL search is checked against: a naive recursive
+/// DPLL that splits on the first open literal of the skeleton and hands
+/// every total assignment to the same ground theory check
+/// ([`decide_theory`]), with no propagation, learning, caching or
+/// budgets. [`cross_checked`](oracle::cross_checked) answers every
+/// solver query on the calling thread with both and records any
+/// disagreement.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{decide_theory, Atom, BForm, SatAnswer};
+    use std::cell::RefCell;
+
+    /// What one cross-checked run saw.
+    #[derive(Debug, Default)]
+    pub(crate) struct Tally {
+        /// Queries answered by both the CDCL search and the reference.
+        pub(crate) compared: usize,
+        /// One line per query whose two answers differ.
+        pub(crate) mismatches: Vec<String>,
+    }
+
+    thread_local! {
+        static TALLY: RefCell<Option<Tally>> = const { RefCell::new(None) };
+    }
+
+    /// Runs `f` with every satisfiability query this thread poses also
+    /// answered by the reference. A mismatch is recorded, not raised:
+    /// the verifier isolates each method behind `catch_unwind`, which
+    /// would turn a panic here into a crashed verdict.
+    pub(crate) fn cross_checked<R>(f: impl FnOnce() -> R) -> (R, Tally) {
+        TALLY.with(|t| *t.borrow_mut() = Some(Tally::default()));
+        let r = f();
+        let tally = TALLY.with(|t| t.borrow_mut().take()).unwrap_or_default();
+        (r, tally)
+    }
+
+    /// Compares the CDCL answer for one query against the reference,
+    /// when a [`cross_checked`] run is active on this thread.
+    pub(super) fn cross_check(skeleton: &BForm, atoms: &[Atom], cdcl: SatAnswer) {
+        if TALLY.with(|t| t.borrow().is_none()) {
+            return;
+        }
+        let reference = dpll(skeleton, atoms, &mut vec![None; atoms.len()]);
+        TALLY.with(|t| {
+            if let Some(tally) = t.borrow_mut().as_mut() {
+                tally.compared += 1;
+                if cdcl != reference {
+                    tally.mismatches.push(format!(
+                        "cdcl {:?} vs reference {:?} on {:?} over {:?}",
+                        cdcl, reference, skeleton, atoms
+                    ));
+                }
+            }
+        });
+    }
+
+    fn dpll(skeleton: &BForm, atoms: &[Atom], assignment: &mut [Option<bool>]) -> SatAnswer {
+        match simplify(skeleton, assignment) {
+            BForm::False => SatAnswer::Unsat,
+            BForm::True => decide_theory(&theory_key(atoms, assignment)),
+            reduced => {
+                let pick = first_lit(&reduced).expect("non-constant form has a literal");
+                assignment[pick] = Some(true);
+                let r1 = dpll(&reduced, atoms, assignment);
+                if r1 == SatAnswer::Sat {
+                    assignment[pick] = None;
+                    return SatAnswer::Sat;
+                }
+                assignment[pick] = Some(false);
+                let r2 = dpll(&reduced, atoms, assignment);
+                assignment[pick] = None;
+                match (r1, r2) {
+                    (_, SatAnswer::Sat) => SatAnswer::Sat,
+                    (SatAnswer::Unsat, SatAnswer::Unsat) => SatAnswer::Unsat,
+                    _ => SatAnswer::Unknown,
+                }
+            }
+        }
+    }
+
+    fn simplify(f: &BForm, assignment: &[Option<bool>]) -> BForm {
+        match f {
+            BForm::True => BForm::True,
+            BForm::False => BForm::False,
+            BForm::Lit(i, pol) => match assignment[*i] {
+                None => BForm::Lit(*i, *pol),
+                Some(v) => {
+                    if v == *pol {
+                        BForm::True
+                    } else {
+                        BForm::False
+                    }
+                }
+            },
+            BForm::And(a, b) => match (simplify(a, assignment), simplify(b, assignment)) {
+                (BForm::False, _) | (_, BForm::False) => BForm::False,
+                (BForm::True, x) | (x, BForm::True) => x,
+                (x, y) => BForm::And(Box::new(x), Box::new(y)),
+            },
+            BForm::Or(a, b) => match (simplify(a, assignment), simplify(b, assignment)) {
+                (BForm::True, _) | (_, BForm::True) => BForm::True,
+                (BForm::False, x) | (x, BForm::False) => x,
+                (x, y) => BForm::Or(Box::new(x), Box::new(y)),
+            },
+        }
+    }
+
+    fn first_lit(f: &BForm) -> Option<usize> {
+        match f {
+            BForm::True | BForm::False => None,
+            BForm::Lit(i, _) => Some(*i),
+            BForm::And(a, b) | BForm::Or(a, b) => first_lit(a).or_else(|| first_lit(b)),
+        }
+    }
+
+    /// The sorted, deduplicated assigned-literal set — the input of a
+    /// theory check.
+    fn theory_key(atoms: &[Atom], assignment: &[Option<bool>]) -> Vec<(Atom, bool)> {
+        let mut key: Vec<(Atom, bool)> = atoms
+            .iter()
+            .zip(assignment.iter())
+            .filter_map(|(a, v)| v.map(|pol| (a.clone(), pol)))
+            .collect();
+        key.sort_unstable();
+        key.dedup();
+        key
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sym::SymSupply;
+    use proptest::prelude::*;
 
     struct Ctx {
         solver: Solver,
@@ -2721,14 +2397,8 @@ mod tests {
         let pc = vec![SymExpr::lt(x.clone(), y.clone())];
         let _ = cx.entails(&pc, &SymExpr::le(x, y));
         assert_eq!(cx.solver.queries, 1);
-        // Fuel-unit counters must move: search nodes under the legacy
-        // DPLL core, conflicts+propagations under CDCL.
-        match cx.solver.core {
-            SolverCore::Dpll => assert!(cx.solver.branches >= 1),
-            SolverCore::Cdcl => {
-                assert!(cx.solver.conflicts + cx.solver.propagations >= 1)
-            }
-        }
+        // The fuel-unit counters (conflicts + propagations) must move.
+        assert!(cx.solver.conflicts + cx.solver.propagations >= 1);
     }
 
     #[test]
@@ -2745,7 +2415,7 @@ mod tests {
         assert_eq!(cx.solver.cache_hits, 1);
         assert_eq!(
             cx.solver.branches, branches_after_first,
-            "a cache hit must not re-run DPLL"
+            "a cache hit must not re-run the search"
         );
         // Same conditions in a different order share the entry.
         let pc2 = vec![
@@ -2889,51 +2559,176 @@ mod tests {
     }
 
     // --------------------------------------------------------------
-    // CDCL core: differential vs. legacy DPLL, theory layer, fuel.
+    // CDCL core: differential vs. the reference DPLL, theory layer,
+    // fuel.
     // --------------------------------------------------------------
+
+    /// Asserts that a cross-checked run compared `expected` queries and
+    /// found the CDCL search and the reference in agreement on each.
+    fn assert_agrees(tally: &oracle::Tally, expected: usize, what: &str) {
+        assert!(
+            tally.mismatches.is_empty(),
+            "{}: CDCL and the reference DPLL disagree:\n{}",
+            what,
+            tally.mismatches.join("\n")
+        );
+        assert_eq!(tally.compared, expected, "{}: queries compared", what);
+    }
 
     #[test]
     fn cdcl_and_dpll_cores_agree() {
-        let run = |core: SolverCore| {
-            let (mut cx, s) = int_solver(3);
-            cx.solver.core = core;
-            cx.solver.cache_enabled = false;
-            let x = s[0].clone();
-            let y = s[1].clone();
-            let (dpc, dgoal) = diverging_queries(&s);
-            let queries: Vec<(Vec<SymExpr>, SymExpr)> = vec![
-                (
-                    vec![SymExpr::le(x.clone(), y.clone())],
-                    SymExpr::lt(x.clone(), y.clone()),
+        let (mut cx, s) = int_solver(3);
+        cx.solver.cache_enabled = false;
+        let x = s[0].clone();
+        let y = s[1].clone();
+        let (dpc, dgoal) = diverging_queries(&s);
+        let queries: Vec<(Vec<SymExpr>, SymExpr)> = vec![
+            (
+                vec![SymExpr::le(x.clone(), y.clone())],
+                SymExpr::lt(x.clone(), y.clone()),
+            ),
+            (
+                vec![SymExpr::lt(x.clone(), y.clone())],
+                SymExpr::le(x.clone(), y.clone()),
+            ),
+            (vec![], SymExpr::eq(x.clone(), x.clone())),
+            (
+                vec![
+                    SymExpr::lt(x.clone(), SymExpr::int(0)),
+                    SymExpr::lt(SymExpr::int(0), x.clone()),
+                ],
+                SymExpr::bool(false),
+            ),
+            (
+                vec![],
+                SymExpr::eq(
+                    SymExpr::Mul(Box::new(x.clone()), Box::new(y.clone())),
+                    SymExpr::int(3),
                 ),
-                (
-                    vec![SymExpr::lt(x.clone(), y.clone())],
-                    SymExpr::le(x.clone(), y.clone()),
-                ),
-                (vec![], SymExpr::eq(x.clone(), x.clone())),
-                (
-                    vec![
-                        SymExpr::lt(x.clone(), SymExpr::int(0)),
-                        SymExpr::lt(SymExpr::int(0), x.clone()),
-                    ],
-                    SymExpr::bool(false),
-                ),
-                (
-                    vec![],
-                    SymExpr::eq(
-                        SymExpr::Mul(Box::new(x.clone()), Box::new(y.clone())),
-                        SymExpr::int(3),
-                    ),
-                ),
-                (dpc.clone(), dgoal.clone()),
-                (dpc, dgoal),
-            ];
-            queries
-                .into_iter()
-                .map(|(pc, g)| cx.entails(&pc, &g))
-                .collect::<Vec<Answer>>()
+            ),
+            (dpc.clone(), dgoal.clone()),
+            (dpc, dgoal),
+        ];
+        let n = queries.len();
+        let (_, tally) = oracle::cross_checked(|| {
+            for (pc, g) in &queries {
+                cx.entails(pc, g);
+            }
+        });
+        assert_agrees(&tally, n, "unit queries");
+    }
+
+    /// Verifies `src` at one thread with the cache off, so every query
+    /// reaches the search and runs inline on this thread, and checks
+    /// each one against the reference. The trace's `solver.query`
+    /// events count the queries independently of the oracle. Returns
+    /// each method's definite verdict (`Some(true)` verified,
+    /// `Some(false)` failed, `None` indefinite).
+    fn cross_checked_verdicts(src: &str, learn: bool) -> Vec<(String, Option<bool>)> {
+        let program = crate::parser::parse_program(src).expect("parses");
+        let sink = std::sync::Arc::new(daenerys_obs::MemorySink::new(1 << 16));
+        let config = crate::exec::VerifierConfig {
+            threads: 1,
+            cache: false,
+            learn,
+            trace: daenerys_obs::TraceHandle::new(sink.clone(), daenerys_obs::ClockKind::Logical),
+            ..crate::exec::VerifierConfig::default()
         };
-        assert_eq!(run(SolverCore::Cdcl), run(SolverCore::Dpll));
+        let mut verifier =
+            crate::exec::Verifier::with_config(&program, crate::Backend::Destabilized, config);
+        let (verdicts, tally) = oracle::cross_checked(|| verifier.verify_all_verdicts());
+        let queries = sink
+            .events()
+            .iter()
+            .filter(|e| e.name == "solver.query")
+            .count();
+        assert!(queries > 0, "the program poses no query");
+        assert_agrees(&tally, queries, &format!("learn={} on:\n{}", learn, src));
+        definite(verdicts)
+    }
+
+    fn definite(verdicts: BTreeMap<String, crate::exec::Verdict>) -> Vec<(String, Option<bool>)> {
+        verdicts
+            .into_iter()
+            .map(|(name, v)| {
+                let definite = match v {
+                    crate::exec::Verdict::Verified(_) => Some(true),
+                    crate::exec::Verdict::Failed { .. } => Some(false),
+                    _ => None,
+                };
+                (name, definite)
+            })
+            .collect()
+    }
+
+    /// Differential (program level): every query of the exponential
+    /// diverging family — the workload the CDCL search was built to
+    /// collapse — is answered identically by the reference, with
+    /// learning on and off, and the verdicts hold at every thread
+    /// count.
+    #[test]
+    fn cdcl_matches_dpll_on_diverging_programs() {
+        for k in [1usize, 2, 4, 6] {
+            let src = crate::cases::diverging_program(k);
+            let program = crate::parser::parse_program(&src).expect("parses");
+            for learn in [true, false] {
+                let verdicts = cross_checked_verdicts(&src, learn);
+                assert!(
+                    verdicts.iter().all(|(_, v)| *v == Some(true)),
+                    "diverging k={} must verify: {:?}",
+                    k,
+                    verdicts
+                );
+                for threads in [2usize, 8] {
+                    let config = crate::exec::VerifierConfig {
+                        threads,
+                        learn,
+                        ..crate::exec::VerifierConfig::default()
+                    };
+                    let mut verifier = crate::exec::Verifier::with_config(
+                        &program,
+                        crate::Backend::Destabilized,
+                        config,
+                    );
+                    assert_eq!(
+                        verdicts,
+                        definite(verifier.verify_all_verdicts()),
+                        "verdicts diverge at k={}, learn={}, threads={}",
+                        k,
+                        learn,
+                        threads
+                    );
+                }
+            }
+        }
+    }
+
+    /// Differential (program level): every query of a linear program
+    /// with a definitely failing method is answered identically by the
+    /// reference, with learning on and off.
+    #[test]
+    fn cdcl_matches_dpll_on_linear_program() {
+        let src = "field val: Int
+             method ok(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 1
+             { c.val := 1 }
+             method bad(c: Ref) requires acc(c.val) ensures acc(c.val) && c.val == 2
+             { c.val := 3 }
+             method gap(x: Int, y: Int) returns (r: Int)
+               requires x < y ensures r >= 1
+             { if (x + 1 < y) { r := y - x } else { r := 1 } }";
+        for learn in [true, false] {
+            let verdicts = cross_checked_verdicts(src, learn);
+            assert_eq!(
+                verdicts,
+                vec![
+                    ("bad".to_string(), Some(false)),
+                    ("gap".to_string(), Some(true)),
+                    ("ok".to_string(), Some(true)),
+                ],
+                "learn={}",
+                learn
+            );
+        }
     }
 
     #[test]
@@ -2964,12 +2759,10 @@ mod tests {
         let mut pc = pc;
         pc.push(SymExpr::not(SymExpr::eq(e[3].clone(), e[0].clone())));
         assert!(!cx.consistent(&pc));
-        if cx.solver.core == SolverCore::Cdcl {
-            assert!(
-                cx.solver.conflicts >= 1,
-                "the diseq-in-class conflict should be counted"
-            );
-        }
+        assert!(
+            cx.solver.conflicts >= 1,
+            "the diseq-in-class conflict should be counted"
+        );
     }
 
     #[test]
@@ -2997,9 +2790,6 @@ mod tests {
     fn theory_propagation_prunes_diverging_search() {
         let (mut cx, s) = int_solver(4);
         cx.solver.cache_enabled = false;
-        if cx.solver.core != SolverCore::Cdcl {
-            return;
-        }
         let (pc, goal) = diverging_queries(&s);
         assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
         assert!(
@@ -3042,8 +2832,7 @@ mod tests {
         let (mut cx, s) = int_solver(3);
         let (pc, goal) = diverging_queries(&s);
         // A deadline already in the past trips on the search's first
-        // poll (the poll mask always checks the first iteration), in
-        // either core.
+        // poll (the poll mask always checks the first iteration).
         cx.solver.deadline = Some(Instant::now() - std::time::Duration::from_millis(1));
         assert_eq!(
             cx.entails(&pc, &goal),
@@ -3055,11 +2844,162 @@ mod tests {
         // memoized, so the same query now re-solves to Valid.
         cx.solver.deadline = None;
         cx.solver.deadline_exhausted = false;
-        cx.solver.deadline_poll = 0;
         assert_eq!(cx.entails(&pc, &goal), Answer::Valid);
         assert_eq!(
             cx.solver.cache_hits, 0,
             "the deadline-truncated answer leaked into the memo table"
         );
+    }
+
+    // --------------------------------------------------------------
+    // Answer-transparency properties over random linear query streams.
+    // --------------------------------------------------------------
+
+    /// A linear Int term over the symbols `x0..x2`.
+    fn arb_lin_term() -> impl Strategy<Value = SymExpr> {
+        let atom = prop_oneof![
+            (0u32..3).prop_map(|i| SymExpr::sym(Sym(i))),
+            (-6i64..=6).prop_map(SymExpr::int),
+            ((-2i64..=2), (0u32..3))
+                .prop_map(|(c, i)| SymExpr::mul(SymExpr::int(c), SymExpr::sym(Sym(i)))),
+        ];
+        (atom.clone(), atom).prop_map(|(a, b)| SymExpr::add(a, b))
+    }
+
+    /// A boolean query formula: comparisons of linear terms under the
+    /// propositional connectives.
+    fn arb_formula() -> impl Strategy<Value = SymExpr> {
+        let cmp = (arb_lin_term(), arb_lin_term(), 0u8..3).prop_map(|(a, b, k)| match k {
+            0 => SymExpr::eq(a, b),
+            1 => SymExpr::lt(a, b),
+            _ => SymExpr::le(a, b),
+        });
+        cmp.prop_recursive(2, 12, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| SymExpr::and(a, b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| SymExpr::or(a, b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| SymExpr::implies(a, b)),
+                inner.clone().prop_map(SymExpr::not),
+            ]
+        })
+    }
+
+    /// A stream of entailment queries `(pc, goal)`.
+    fn arb_query_stream() -> impl Strategy<Value = Vec<(Vec<SymExpr>, SymExpr)>> {
+        proptest::collection::vec(
+            (
+                proptest::collection::vec(arb_formula(), 0..4),
+                arb_formula(),
+            ),
+            1..8,
+        )
+    }
+
+    /// A solver with the stream's symbols `x0..x2` declared `Int`.
+    fn stream_solver() -> Solver {
+        let mut solver = Solver::new();
+        for i in 0..3 {
+            solver.declare(Sym(i), Sort::Int);
+        }
+        solver
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Differential: the memoizing solver cache never changes an
+        /// answer. The stream is replayed twice so the second pass is
+        /// answered from cache, and every answer must still match a
+        /// cache-less solver run fresh on the same queries.
+        #[test]
+        fn solver_cache_is_answer_transparent(stream in arb_query_stream()) {
+            let mut cached = stream_solver();
+            let mut uncached = stream_solver();
+            uncached.cache_enabled = false;
+            let mut arena_c = TermArena::new();
+            let mut arena_u = TermArena::new();
+            for (pc, goal) in stream.iter().chain(stream.iter()) {
+                let ac = cached.entails_exprs(&mut arena_c, pc, goal);
+                let au = uncached.entails_exprs(&mut arena_u, pc, goal);
+                prop_assert_eq!(ac, au, "cache changed answer for pc={:?}, goal={:?}", pc, goal);
+            }
+            // The replayed pass must have been served from cache.
+            prop_assert!(cached.cache_hits >= stream.len());
+            prop_assert_eq!(uncached.cache_hits, 0);
+        }
+
+        /// Differential: intern-time canonicalization never changes an
+        /// answer. The generated fragment is linear arithmetic, where
+        /// every canonical rewrite is a logical equivalence, so the
+        /// comparison is bit-exact.
+        #[test]
+        fn canonicalization_is_answer_transparent(stream in arb_query_stream()) {
+            let mut canon = stream_solver();
+            let mut plain = stream_solver();
+            let mut arena_c = TermArena::new();
+            let mut arena_p = TermArena::new();
+            arena_p.set_simplify(false);
+            for (pc, goal) in &stream {
+                let ac = canon.entails_exprs(&mut arena_c, pc, goal);
+                let ap = plain.entails_exprs(&mut arena_p, pc, goal);
+                prop_assert_eq!(
+                    ac, ap,
+                    "canonicalization changed answer for pc={:?}, goal={:?}", pc, goal
+                );
+            }
+        }
+
+        /// Differential: clause learning never changes an answer.
+        /// Learned clauses are negations of theory-conflict cores —
+        /// valid lemmas — so they may only prune work. The stream is
+        /// replayed with memoization off so the second pass actually
+        /// re-solves against the accumulated clauses.
+        #[test]
+        fn clause_learning_is_answer_transparent(stream in arb_query_stream()) {
+            let mut learning = stream_solver();
+            let mut naive = stream_solver();
+            learning.cache_enabled = false;
+            naive.cache_enabled = false;
+            naive.learn_enabled = false;
+            let mut arena_l = TermArena::new();
+            let mut arena_n = TermArena::new();
+            for (pc, goal) in stream.iter().chain(stream.iter()) {
+                let al = learning.entails_exprs(&mut arena_l, pc, goal);
+                let an = naive.entails_exprs(&mut arena_n, pc, goal);
+                prop_assert_eq!(
+                    al, an,
+                    "clause learning changed answer for pc={:?}, goal={:?}", pc, goal
+                );
+            }
+            prop_assert!(
+                learning.branches <= naive.branches,
+                "learning explored more branches ({} vs {})",
+                learning.branches, naive.branches
+            );
+        }
+
+        /// Differential: the CDCL search and the reference DPLL answer
+        /// every query identically on random linear streams. The
+        /// generated fragment is linear arithmetic under the
+        /// propositional connectives — exactly the domain of the CDCL
+        /// theory layer — and the stream is replayed with memoization
+        /// off so retained cross-query lemmas are exercised.
+        #[test]
+        fn cdcl_core_matches_dpll_on_query_streams(stream in arb_query_stream()) {
+            let mut cdcl = stream_solver();
+            cdcl.cache_enabled = false;
+            let mut arena = TermArena::new();
+            let (_, tally) = oracle::cross_checked(|| {
+                for (pc, goal) in stream.iter().chain(stream.iter()) {
+                    cdcl.entails_exprs(&mut arena, pc, goal);
+                }
+            });
+            prop_assert!(
+                tally.mismatches.is_empty(),
+                "CDCL and the reference DPLL disagree:\n{}",
+                tally.mismatches.join("\n")
+            );
+            prop_assert_eq!(tally.compared, 2 * stream.len());
+        }
     }
 }

@@ -537,8 +537,8 @@ impl TermArena {
 
     /// `a ∧ b` with folding; canonicalization collapses idempotent
     /// (`a ∧ a`) and complementary (`a ∧ ¬a`) pairs. Argument order is
-    /// preserved — conjunction order determines the deterministic DPLL
-    /// branching order and the rendering of path conditions in failure
+    /// preserved — conjunction order determines the deterministic search
+    /// order and the rendering of path conditions in failure
     /// reports.
     pub fn and(&mut self, a: TermId, b: TermId) -> TermId {
         match (self.node(a), self.node(b)) {

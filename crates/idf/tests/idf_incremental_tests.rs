@@ -154,8 +154,7 @@ fn unknown_verdicts_are_never_persisted() {
 
 #[test]
 fn corrupt_store_costs_reverification_not_correctness() {
-    // New stores default to the sharded DAES1 binary format: stomp
-    // every shard file with garbage.
+    // Stomp every DAES1 shard file with garbage.
     let dir = temp_dir("corrupt");
     let cfg = config(&dir);
     let program = parse_program(SRC).unwrap();
@@ -176,50 +175,62 @@ fn corrupt_store_costs_reverification_not_correctness() {
 }
 
 #[test]
-fn corrupt_jsonl_store_costs_reverification_not_correctness() {
-    // The legacy JSONL path keeps the same damage contract.
-    let dir = temp_dir("corrupt-jsonl");
-    let cfg = VerifierConfig {
-        store_format: Some(daenerys_idf::StoreFormat::Jsonl),
-        ..config(&dir)
-    };
+fn legacy_jsonl_store_serves_no_verdict() {
+    // A valid legacy `verdicts.jsonl` holding entries under the current
+    // keys and fingerprints: were it read, every method would hit.
     let program = parse_program(SRC).unwrap();
-    let (first, _) = run(&program, &cfg);
-    let path = dir.join(VerdictStore::FILE_NAME);
-    std::fs::write(&path, "}{ definitely not json\n").unwrap();
-    let (second, warm) = run(&program, &cfg);
-    assert_eq!(warm, 3, "a damaged store re-verifies everything");
+    let source_dir = temp_dir("legacy-source");
+    let (first, _) = run(&program, &config(&source_dir));
+    let legacy = VerdictStore::open(&source_dir).export_jsonl();
+    assert_eq!(legacy.lines().count(), 3);
+
+    let dir = temp_dir("legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    let legacy_path = dir.join("verdicts.jsonl");
+    std::fs::write(&legacy_path, &legacy).unwrap();
+    let cfg = config(&dir);
+    let (second, cold) = run(&program, &cfg);
+    assert_eq!(cold, 3, "the legacy file serves no verdict");
     assert_eq!(first, second);
-    let (_, again) = run(&program, &cfg);
-    assert_eq!(again, 0);
+    assert_eq!(
+        std::fs::read_to_string(&legacy_path).unwrap(),
+        legacy,
+        "the legacy file is left untouched"
+    );
+    let (_, warm) = run(&program, &cfg);
+    assert_eq!(warm, 0, "the second run is warm from the DAES1 shards");
+    assert!(
+        (0..VerdictStore::SHARD_COUNT).any(|i| dir.join(VerdictStore::shard_file_name(i)).exists())
+    );
+    let _ = std::fs::remove_dir_all(&source_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn solver_core_switch_invalidates_the_store() {
-    // The SAT core is answer-affecting for the fingerprint: verdicts
-    // cached under CDCL must never be replayed for a DPLL run (and
-    // vice versa), even though the cores agree on every answer.
-    let dir = temp_dir("core-switch");
+fn config_switch_invalidates_the_store() {
+    // Clause learning is answer-affecting for the fingerprint: verdicts
+    // cached with learning on must never be replayed for a no-learn
+    // run (and vice versa), even though both agree on every answer.
+    let dir = temp_dir("config-switch");
     let cfg = config(&dir);
     let program = parse_program(SRC).unwrap();
     let (first, cold) = run(&program, &cfg);
     assert_eq!(cold, 3);
-    let dpll = VerifierConfig {
-        solver: daenerys_idf::SolverCore::Dpll,
+    let no_learn = VerifierConfig {
+        learn: false,
         ..cfg.clone()
     };
-    let (second, switched) = run(&program, &dpll);
-    assert_eq!(switched, 3, "a core switch re-verifies everything");
-    // Outcomes agree; cost statistics (branches vs. propagations)
-    // legitimately differ between the cores.
+    let (second, switched) = run(&program, &no_learn);
+    assert_eq!(switched, 3, "a config switch re-verifies everything");
+    // Outcomes agree; cost statistics legitimately differ.
     assert!(
         second.values().all(Verdict::is_verified) && first.len() == second.len(),
-        "the cores agree on every verdict"
+        "both settings agree on every verdict"
     );
     // Store entries are keyed by the answer-affecting config
-    // fingerprint, so the DPLL pass wrote entries *alongside* the CDCL
-    // ones instead of overwriting them: switching back is warm.
+    // fingerprint, so the no-learn pass wrote entries *alongside* the
+    // learning ones instead of overwriting them: switching back is
+    // warm.
     let (_, back) = run(&program, &cfg);
     assert_eq!(back, 0, "per-config entries coexist; no thrashing");
     let _ = std::fs::remove_dir_all(&dir);

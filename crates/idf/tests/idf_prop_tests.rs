@@ -3,9 +3,8 @@
 
 use daenerys_algebra::Q;
 use daenerys_idf::{
-    diverging_program, parse_program, Assertion, Backend, Budget, BudgetAxis, Expr, FaultKind,
-    FaultPlan, Method, Op, Program, Solver, SolverCore, Sort, Stmt, Sym, SymExpr, TermArena, Type,
-    Verdict, Verifier, VerifierConfig,
+    parse_program, Assertion, Backend, Budget, BudgetAxis, Expr, FaultKind, FaultPlan, Method, Op,
+    Program, Stmt, Type, Verdict, Verifier, VerifierConfig,
 };
 use daenerys_obs::{ClockKind, Event, MemorySink, TraceHandle};
 use proptest::prelude::*;
@@ -139,35 +138,6 @@ fn arb_program() -> impl Strategy<Value = Program> {
         })
 }
 
-/// A linear Int term over the symbols `x0..x2`.
-fn arb_lin_term() -> impl Strategy<Value = SymExpr> {
-    let atom = prop_oneof![
-        (0u32..3).prop_map(|i| SymExpr::sym(Sym(i))),
-        (-6i64..=6).prop_map(SymExpr::int),
-        ((-2i64..=2), (0u32..3))
-            .prop_map(|(c, i)| SymExpr::mul(SymExpr::int(c), SymExpr::sym(Sym(i)))),
-    ];
-    (atom.clone(), atom).prop_map(|(a, b)| SymExpr::add(a, b))
-}
-
-/// A boolean query formula: comparisons of linear terms under the
-/// propositional connectives.
-fn arb_formula() -> impl Strategy<Value = SymExpr> {
-    let cmp = (arb_lin_term(), arb_lin_term(), 0u8..3).prop_map(|(a, b, k)| match k {
-        0 => SymExpr::eq(a, b),
-        1 => SymExpr::lt(a, b),
-        _ => SymExpr::le(a, b),
-    });
-    cmp.prop_recursive(2, 12, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| SymExpr::and(a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| SymExpr::or(a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| SymExpr::implies(a, b)),
-            inner.clone().prop_map(SymExpr::not),
-        ]
-    })
-}
-
 /// An arbitrary fault aimed at the chaos target method.
 fn arb_fault_kind() -> impl Strategy<Value = FaultKind> {
     prop_oneof![
@@ -210,17 +180,6 @@ fn arb_budget() -> impl Strategy<Value = Budget> {
         })
 }
 
-/// A stream of entailment queries `(pc, goal)`.
-fn arb_query_stream() -> impl Strategy<Value = Vec<(Vec<SymExpr>, SymExpr)>> {
-    proptest::collection::vec(
-        (
-            proptest::collection::vec(arb_formula(), 0..4),
-            arb_formula(),
-        ),
-        1..8,
-    )
-}
-
 /// Verifies `p` under the given solver toggles, projected to what must
 /// be invariant: each method's definite verdict (`Some(true)` verified,
 /// `Some(false)` failed, `None` indefinite) and its failed obligations.
@@ -233,17 +192,6 @@ fn toggled_verdicts(
     learn: bool,
     threads: usize,
 ) -> Vec<(String, Option<bool>, Vec<daenerys_idf::Obligation>)> {
-    toggled_verdicts_core(p, simplify, learn, threads, SolverCore::default())
-}
-
-/// As [`toggled_verdicts`], with an explicit SAT core.
-fn toggled_verdicts_core(
-    p: &Program,
-    simplify: bool,
-    learn: bool,
-    threads: usize,
-    solver: SolverCore,
-) -> Vec<(String, Option<bool>, Vec<daenerys_idf::Obligation>)> {
     let mut v = Verifier::with_config(
         p,
         Backend::Destabilized,
@@ -251,7 +199,6 @@ fn toggled_verdicts_core(
             threads,
             simplify,
             learn,
-            solver,
             ..VerifierConfig::default()
         },
     );
@@ -301,44 +248,14 @@ fn toggle_matrix_is_verdict_transparent_on_linear_programs() {
     for simplify in [true, false] {
         for learn in [true, false] {
             for threads in [1usize, 2, 8] {
-                for solver in [SolverCore::Cdcl, SolverCore::Dpll] {
-                    assert_eq!(
-                        baseline,
-                        toggled_verdicts_core(&p, simplify, learn, threads, solver),
-                        "verdicts diverge at simplify={}, learn={}, threads={}, solver={:?}",
-                        simplify,
-                        learn,
-                        threads,
-                        solver
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Differential (program level): the CDCL and legacy DPLL cores give
-/// bit-identical verdicts on the exponential diverging family — the
-/// workload the CDCL core was built to collapse — at every thread
-/// count and learning setting.
-#[test]
-fn cdcl_matches_dpll_on_diverging_programs() {
-    for k in [1usize, 2, 4, 6] {
-        let p = parse_program(&diverging_program(k)).unwrap();
-        let baseline = toggled_verdicts_core(&p, true, true, 1, SolverCore::Cdcl);
-        for learn in [true, false] {
-            for threads in [1usize, 2, 8] {
-                for solver in [SolverCore::Cdcl, SolverCore::Dpll] {
-                    assert_eq!(
-                        baseline,
-                        toggled_verdicts_core(&p, true, learn, threads, solver),
-                        "verdicts diverge at k={}, learn={}, threads={}, solver={:?}",
-                        k,
-                        learn,
-                        threads,
-                        solver
-                    );
-                }
+                assert_eq!(
+                    baseline,
+                    toggled_verdicts(&p, simplify, learn, threads),
+                    "verdicts diverge at simplify={}, learn={}, threads={}",
+                    simplify,
+                    learn,
+                    threads
+                );
             }
         }
     }
@@ -346,119 +263,6 @@ fn cdcl_matches_dpll_on_diverging_programs() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Differential: the memoizing solver cache never changes an
-    /// answer. The stream is replayed twice so the second pass is
-    /// answered from cache, and every answer must still match a
-    /// cache-less solver run fresh on the same queries.
-    #[test]
-    fn solver_cache_is_answer_transparent(stream in arb_query_stream()) {
-        let mut cached = Solver::new();
-        let mut uncached = Solver::new();
-        uncached.cache_enabled = false;
-        let mut arena_c = TermArena::new();
-        let mut arena_u = TermArena::new();
-        for i in 0..3 {
-            cached.declare(Sym(i), Sort::Int);
-            uncached.declare(Sym(i), Sort::Int);
-        }
-        for (pc, goal) in stream.iter().chain(stream.iter()) {
-            let ac = cached.entails_exprs(&mut arena_c, pc, goal);
-            let au = uncached.entails_exprs(&mut arena_u, pc, goal);
-            prop_assert_eq!(ac, au, "cache changed answer for pc={:?}, goal={:?}", pc, goal);
-        }
-        // The replayed pass must have been served from cache.
-        prop_assert!(cached.cache_hits >= stream.len());
-        prop_assert_eq!(uncached.cache_hits, 0);
-    }
-
-    /// Differential: intern-time canonicalization never changes an
-    /// answer. The generated fragment is linear arithmetic, where every
-    /// canonical rewrite is a logical equivalence, so the comparison is
-    /// bit-exact.
-    #[test]
-    fn canonicalization_is_answer_transparent(stream in arb_query_stream()) {
-        let mut canon = Solver::new();
-        let mut plain = Solver::new();
-        let mut arena_c = TermArena::new();
-        let mut arena_p = TermArena::new();
-        arena_p.set_simplify(false);
-        for i in 0..3 {
-            canon.declare(Sym(i), Sort::Int);
-            plain.declare(Sym(i), Sort::Int);
-        }
-        for (pc, goal) in &stream {
-            let ac = canon.entails_exprs(&mut arena_c, pc, goal);
-            let ap = plain.entails_exprs(&mut arena_p, pc, goal);
-            prop_assert_eq!(
-                ac, ap,
-                "canonicalization changed answer for pc={:?}, goal={:?}", pc, goal
-            );
-        }
-    }
-
-    /// Differential: clause learning never changes an answer. Learned
-    /// clauses are negations of theory-conflict cores — valid lemmas —
-    /// so they may only prune work. The stream is replayed with
-    /// memoization off so the second pass actually re-solves against
-    /// the accumulated clauses.
-    #[test]
-    fn clause_learning_is_answer_transparent(stream in arb_query_stream()) {
-        let mut learning = Solver::new();
-        let mut naive = Solver::new();
-        learning.cache_enabled = false;
-        naive.cache_enabled = false;
-        naive.learn_enabled = false;
-        let mut arena_l = TermArena::new();
-        let mut arena_n = TermArena::new();
-        for i in 0..3 {
-            learning.declare(Sym(i), Sort::Int);
-            naive.declare(Sym(i), Sort::Int);
-        }
-        for (pc, goal) in stream.iter().chain(stream.iter()) {
-            let al = learning.entails_exprs(&mut arena_l, pc, goal);
-            let an = naive.entails_exprs(&mut arena_n, pc, goal);
-            prop_assert_eq!(
-                al, an,
-                "clause learning changed answer for pc={:?}, goal={:?}", pc, goal
-            );
-        }
-        prop_assert!(
-            learning.branches <= naive.branches,
-            "learning explored more branches ({} vs {})",
-            learning.branches, naive.branches
-        );
-    }
-
-    /// Differential: the CDCL core and the legacy recursive DPLL core
-    /// answer every query identically on random linear streams. The
-    /// generated fragment is linear arithmetic under the propositional
-    /// connectives — exactly the domain of the CDCL theory layer — and
-    /// the stream is replayed so cross-query lemma retention is
-    /// exercised on both sides.
-    #[test]
-    fn cdcl_core_matches_dpll_on_query_streams(stream in arb_query_stream()) {
-        let mut cdcl = Solver::new();
-        let mut dpll = Solver::new();
-        cdcl.core = SolverCore::Cdcl;
-        dpll.core = SolverCore::Dpll;
-        cdcl.cache_enabled = false;
-        dpll.cache_enabled = false;
-        let mut arena_c = TermArena::new();
-        let mut arena_d = TermArena::new();
-        for i in 0..3 {
-            cdcl.declare(Sym(i), Sort::Int);
-            dpll.declare(Sym(i), Sort::Int);
-        }
-        for (pc, goal) in stream.iter().chain(stream.iter()) {
-            let ac = cdcl.entails_exprs(&mut arena_c, pc, goal);
-            let ad = dpll.entails_exprs(&mut arena_d, pc, goal);
-            prop_assert_eq!(
-                ac, ad,
-                "cores disagree for pc={:?}, goal={:?}", pc, goal
-            );
-        }
-    }
 
     /// Differential (program level): on arbitrary programs, each
     /// (canonicalization, learning) setting is exactly thread-
