@@ -8,7 +8,9 @@
 //! (`inhale`/`exhale`, loops with invariants, method calls).
 
 use daenerys_algebra::Q;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Types of the IDF language.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -311,18 +313,68 @@ pub struct Method {
 }
 
 /// A full program: field declarations plus methods.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct Program {
     /// Declared fields with their types.
     pub fields: Vec<(String, Type)>,
     /// Methods in declaration order.
     pub methods: Vec<Method>,
+    /// Name → slot of each name's first declaration, built by the first
+    /// [`Program::method`] call. A cache, not part of the program's
+    /// value: equality and `Debug` ignore it.
+    index: MethodIndex,
+}
+
+/// The lazily built lookup table behind [`Program::method`].
+#[derive(Clone, Default)]
+struct MethodIndex(OnceLock<HashMap<String, usize>>);
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        self.fields == other.fields && self.methods == other.methods
+    }
+}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("fields", &self.fields)
+            .field("methods", &self.methods)
+            .finish()
+    }
 }
 
 impl Program {
-    /// Looks up a method by name.
+    /// A program of `fields` and `methods`.
+    pub fn new(fields: Vec<(String, Type)>, methods: Vec<Method>) -> Program {
+        Program {
+            fields,
+            methods,
+            index: MethodIndex::default(),
+        }
+    }
+
+    /// Looks up a method by name; with duplicate names, the first
+    /// declaration wins.
+    ///
+    /// O(1) through a name index built on the first call. `methods` is
+    /// public and may change after that, so a slot is served only while
+    /// the method there still carries `name`; a stale or missing entry
+    /// falls back to the declaration-order scan. The one edit the check
+    /// cannot see is renaming a method in place to a name declared
+    /// *later*, which makes a duplicate that [`crate::wf`] rejects.
     pub fn method(&self, name: &str) -> Option<&Method> {
-        self.methods.iter().find(|m| m.name == name)
+        let index = self.index.0.get_or_init(|| {
+            let mut index = HashMap::with_capacity(self.methods.len());
+            for (i, m) in self.methods.iter().enumerate() {
+                index.entry(m.name.clone()).or_insert(i);
+            }
+            index
+        });
+        match index.get(name).and_then(|&i| self.methods.get(i)) {
+            Some(m) if m.name == name => Some(m),
+            _ => self.methods.iter().find(|m| m.name == name),
+        }
     }
 
     /// Looks up a field's type.
@@ -367,12 +419,56 @@ mod tests {
 
     #[test]
     fn program_lookup() {
-        let p = Program {
-            fields: vec![("val".into(), Type::Int)],
-            methods: vec![],
-        };
+        let p = Program::new(vec![("val".into(), Type::Int)], vec![]);
         assert_eq!(p.field_type("val"), Some(Type::Int));
         assert_eq!(p.field_type("nope"), None);
         assert!(p.method("m").is_none());
+    }
+
+    fn method(name: &str, slot: usize) -> Method {
+        Method {
+            name: name.into(),
+            params: vec![("x".into(), Type::Int); slot],
+            returns: vec![],
+            requires: Assertion::truth(),
+            ensures: Assertion::truth(),
+            body: None,
+        }
+    }
+
+    /// The slot a lookup answers from (methods record it as their
+    /// parameter count).
+    fn slot(p: &Program, name: &str) -> Option<usize> {
+        p.method(name).map(|m| m.params.len())
+    }
+
+    #[test]
+    fn method_lookup_survives_edits_after_indexing() {
+        let mut p = Program::new(vec![], vec![method("a", 0), method("b", 1), method("a", 2)]);
+        assert_eq!(slot(&p, "a"), Some(0), "first declaration wins");
+        assert_eq!(slot(&p, "b"), Some(1));
+        // Pushed after the index was built: a new name and a duplicate.
+        p.methods.push(method("c", 3));
+        p.methods.push(method("b", 4));
+        assert_eq!(slot(&p, "c"), Some(3));
+        assert_eq!(slot(&p, "b"), Some(1));
+        // In-place renames: the indexed slot of `a` now holds `z`, so
+        // `a` resolves to its remaining declaration, and `c` is gone.
+        p.methods[0].name = "z".into();
+        p.methods[3].name = "d".into();
+        assert_eq!(slot(&p, "a"), Some(2));
+        assert_eq!(slot(&p, "z"), Some(0));
+        assert_eq!(slot(&p, "c"), None);
+        assert_eq!(slot(&p, "d"), Some(3));
+        // Removing a method shifts every later slot.
+        p.methods.remove(1);
+        assert_eq!(slot(&p, "b"), Some(4));
+        assert_eq!(slot(&p, "a"), Some(2));
+        assert_eq!(slot(&p, "nope"), None);
+        // A clone indexes itself and compares equal regardless.
+        let q = p.clone();
+        assert_eq!(slot(&q, "d"), Some(3));
+        assert_eq!(p, q);
+        assert_eq!(format!("{:?}", p), format!("{:?}", q));
     }
 }

@@ -31,7 +31,7 @@ use crate::stability::{self, StabilityClass};
 use crate::sym::{Sort, Sym, SymSupply, Term, TermArena, TermId, Witness};
 use daenerys_algebra::Q;
 use daenerys_obs::{Event, MetricsRegistry, TraceCollector, TraceHandle, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -489,25 +489,23 @@ impl StoreAccess<'_> {
         }
     }
 
-    /// A clone of the persisted dependency graph as of the last run
-    /// (the "previous" side of spec-dirtiness planning), taken before
-    /// this run's nodes are absorbed.
-    fn graph_snapshot(&self) -> Option<crate::depgraph::DepGraph> {
+    /// Plans spec dirtiness against the persisted dependency graph and
+    /// then upserts `cur` into it, under one lock hold: returns the
+    /// [`crate::depgraph::DepGraph::spec_dirty_roots`] of the graph as
+    /// of the last run (read in place, never cloned) against `cur`.
+    /// The absorbed graph stays in memory until
+    /// [`StoreAccess::finish`], so a run killed mid-verify re-plans
+    /// from the *old* interfaces.
+    fn plan_and_absorb_graph(&mut self, cur: &crate::depgraph::DepGraph) -> BTreeSet<String> {
+        let plan = |s: &mut crate::store::VerdictStore| {
+            let roots = crate::depgraph::DepGraph::spec_dirty_roots(s.graph(), cur);
+            s.absorb_graph(cur);
+            roots
+        };
         match self {
-            StoreAccess::None => None,
-            StoreAccess::Owned(s) => Some(s.graph().clone()),
-            StoreAccess::Shared(m) => Some(lock_store(m).graph().clone()),
-        }
-    }
-
-    /// Upserts the current program's dependency nodes into the store's
-    /// graph (in memory; persisted at [`StoreAccess::finish`] so a run
-    /// killed mid-verify re-plans from the *old* interfaces).
-    fn absorb_graph(&mut self, cur: &crate::depgraph::DepGraph) {
-        match self {
-            StoreAccess::None => {}
-            StoreAccess::Owned(s) => s.absorb_graph(cur),
-            StoreAccess::Shared(m) => lock_store(m).absorb_graph(cur),
+            StoreAccess::None => BTreeSet::new(),
+            StoreAccess::Owned(s) => plan(s),
+            StoreAccess::Shared(m) => plan(&mut lock_store(m)),
         }
     }
 
@@ -830,19 +828,16 @@ impl<'a> Verifier<'a> {
             // reproduces the stored verdict bit for bit; a missing or
             // damaged graph only widens this cone (absent nodes are
             // roots), never narrows it.
-            if let Some(prev) = store.graph_snapshot() {
-                let roots = crate::depgraph::DepGraph::spec_dirty_roots(&prev, cur);
-                if !roots.is_empty() {
-                    let dirty = cur.reverse_reachable(&roots);
-                    for (i, name) in names.iter().enumerate() {
-                        if restored[i].is_some() && dirty.contains(name) {
-                            restored[i] = None;
-                            dirty_transitive += 1;
-                        }
+            let roots = store.plan_and_absorb_graph(cur);
+            if !roots.is_empty() {
+                let dirty = cur.reverse_reachable(&roots);
+                for (i, name) in names.iter().enumerate() {
+                    if restored[i].is_some() && dirty.contains(name) {
+                        restored[i] = None;
+                        dirty_transitive += 1;
                     }
                 }
             }
-            store.absorb_graph(cur);
             for (i, r) in restored.iter_mut().enumerate() {
                 if let Some(v) = r {
                     // Stored failure reports carry the store key;
@@ -1113,14 +1108,14 @@ impl<'a> Verifier<'a> {
         name: &str,
         started: Instant,
     ) -> Result<VerifyStats, VerifyError> {
-        let Some(method) = self.program.method(name).cloned() else {
+        let Some(method) = self.program.method(name) else {
             let failure =
                 self.oblige_failure(None, format!("cannot verify unknown method {}", name));
             return Err(VerifyError {
                 failures: vec![failure],
             });
         };
-        let Some(body) = method.body.clone() else {
+        let Some(body) = &method.body else {
             let failure = self.oblige_failure(
                 None,
                 format!(
@@ -1150,7 +1145,7 @@ impl<'a> Verifier<'a> {
         // Static stability analysis of the method's spec assertions
         // (pre, post, loop invariants), run before execution so the
         // verdicts can be traced and can gate `deny_unstable`.
-        let spec_verdicts = stability::analyze_method(&method);
+        let spec_verdicts = stability::analyze_method(method);
         if self.collector.is_enabled() {
             for v in &spec_verdicts {
                 let mut fields = vec![
@@ -1211,7 +1206,7 @@ impl<'a> Verifier<'a> {
         let body_span = self.collector.span_start("body");
         let mut finals = Vec::new();
         for s in states {
-            finals.extend(self.exec_block(s, &body));
+            finals.extend(self.exec_block(s, body));
         }
         self.collector.span_end(body_span);
 
@@ -2088,15 +2083,9 @@ impl<'a> Verifier<'a> {
                 out
             }
             Stmt::Call(targets, mname, args) => {
-                let callee = match self.program.method(mname) {
-                    Some(m) => m.clone(),
-                    None => {
-                        self.oblige_failure(
-                            Some(&state),
-                            format!("call to unknown method {}", mname),
-                        );
-                        return vec![state];
-                    }
+                let Some(callee) = self.program.method(mname) else {
+                    self.oblige_failure(Some(&state), format!("call to unknown method {}", mname));
+                    return vec![state];
                 };
                 if callee.params.len() != args.len() || callee.returns.len() != targets.len() {
                     self.oblige_failure(Some(&state), format!("arity mismatch calling {}", mname));

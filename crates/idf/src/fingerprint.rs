@@ -115,11 +115,7 @@ pub fn direct_callees(method: &Method) -> Vec<String> {
 /// differ only in formatting normalize to the same string — callers are
 /// invalidated by what a spec *means*, never by how it was typed.
 pub fn normalized_interface(method: &Method) -> String {
-    Method {
-        body: None,
-        ..method.clone()
-    }
-    .to_string()
+    crate::pretty::Interface(method).to_string()
 }
 
 /// Fingerprint of a method's [`normalized_interface`] alone — the value
@@ -230,6 +226,55 @@ mod tests {
         let p = parse_program(src).unwrap();
         let m = p.method(name).unwrap();
         method_fingerprint(&p, m, Backend::Destabilized, config)
+    }
+
+    /// Exact values for [`SRC`] under the default config. A change here
+    /// re-verifies every method of every warm store on upgrade, so it
+    /// must be deliberate, never a side effect of a refactor.
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        let p = parse_program(SRC).unwrap();
+        let cfg = VerifierConfig::default();
+        let pins = [
+            (
+                "get",
+                "6030714bf5051cf23091c95ee72fe50e",
+                "92051454dfc0d6474978981ce9315447",
+            ),
+            (
+                "double",
+                "757395ea27873de13c70cb42d8febd64",
+                "0fe548369b0f3b31ab27e60b0947ccbe",
+            ),
+            (
+                "free",
+                "acfd488449f27a25ea1550bbbeedd2ba",
+                "27c7f89e1be2afa1a87cbeccd5e2fd44",
+            ),
+        ];
+        for (name, method, interface) in pins {
+            let m = p.method(name).unwrap();
+            assert_eq!(
+                method_fingerprint(&p, m, Backend::Destabilized, &cfg).to_string(),
+                method,
+                "method fingerprint of {}",
+                name
+            );
+            assert_eq!(
+                interface_fingerprint(m).to_string(),
+                interface,
+                "interface fingerprint of {}",
+                name
+            );
+        }
+        assert_eq!(
+            config_fingerprint(Backend::Destabilized, &cfg).to_string(),
+            "bf3591d5f4bad8fd2d4a88a722d4fe8f"
+        );
+        assert_eq!(
+            config_fingerprint(Backend::StableBaseline, &cfg).to_string(),
+            "3eb5442550287432e7c2f0366888a183"
+        );
     }
 
     #[test]

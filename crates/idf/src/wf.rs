@@ -6,7 +6,7 @@
 //! so the symbolic executor can assume a well-formed program.
 
 use crate::ast::{Assertion, Expr, Method, Op, Program, Span, Stmt, Type};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// A well-formedness diagnosis. Diagnoses raised at an AST node that
@@ -289,7 +289,7 @@ impl<'a> Checker<'a> {
                 self.scope = saved;
             }
             Stmt::Call(targets, m, args) => {
-                let Some(callee) = self.program.method(m).cloned() else {
+                let Some(callee) = self.program.method(m) else {
                     self.error(format!("call to unknown method {}", m));
                     return;
                 };
@@ -388,8 +388,9 @@ pub fn check_program(program: &Program) -> Result<(), Vec<WfError>> {
             });
         }
     }
-    for (i, m) in program.methods.iter().enumerate() {
-        if program.methods[..i].iter().any(|n| n.name == m.name) {
+    let mut declared = HashSet::with_capacity(program.methods.len());
+    for m in &program.methods {
+        if !declared.insert(m.name.as_str()) {
             errors.push(WfError {
                 method: String::new(),
                 message: format!("duplicate method {}", m.name),

@@ -121,20 +121,22 @@ fn arb_program() -> impl Strategy<Value = Program> {
         arb_assertion(),
         arb_assertion(),
     )
-        .prop_map(|(body, requires, ensures)| Program {
-            fields: vec![("v".to_string(), Type::Int)],
-            methods: vec![Method {
-                name: "m".to_string(),
-                params: vec![
-                    ("a".to_string(), Type::Ref),
-                    ("b".to_string(), Type::Ref),
-                    ("n".to_string(), Type::Int),
-                ],
-                returns: vec![("r".to_string(), Type::Int)],
-                requires,
-                ensures,
-                body: Some(body),
-            }],
+        .prop_map(|(body, requires, ensures)| {
+            Program::new(
+                vec![("v".to_string(), Type::Int)],
+                vec![Method {
+                    name: "m".to_string(),
+                    params: vec![
+                        ("a".to_string(), Type::Ref),
+                        ("b".to_string(), Type::Ref),
+                        ("n".to_string(), Type::Int),
+                    ],
+                    returns: vec![("r".to_string(), Type::Int)],
+                    requires,
+                    ensures,
+                    body: Some(body),
+                }],
+            )
         })
 }
 
@@ -459,6 +461,43 @@ proptest! {
                 "trace diverges at {} threads (cache={}, budget {:?}) under {:?}",
                 threads, cache, &budget, &plan
             );
+        }
+    }
+}
+
+/// A bodiless method named `name` whose parameter count records its
+/// declaration slot, so a lookup's answer is identifiable.
+fn slot_method(name: &str, slot: usize) -> Method {
+    Method {
+        name: name.to_string(),
+        params: vec![("x".to_string(), Type::Int); slot],
+        returns: vec![],
+        requires: Assertion::truth(),
+        ensures: Assertion::truth(),
+        body: None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The indexed `Program::method` answers exactly like the
+    /// declaration-order scan: for every declared name, for duplicated
+    /// names (first declaration wins), and for absent names.
+    #[test]
+    fn method_index_matches_declaration_scan(
+        names in proptest::collection::vec(
+            prop_oneof![Just("a"), Just("b"), Just("c"), Just("d"), Just("e"), Just("f")],
+            0..24,
+        ),
+    ) {
+        let methods = names.iter().enumerate().map(|(i, n)| slot_method(n, i)).collect();
+        let p = Program::new(vec![], methods);
+        for name in ["a", "b", "c", "d", "e", "f", "g", "", "aa"] {
+            let want = p.methods.iter().find(|m| m.name == name);
+            prop_assert_eq!(p.method(name).map(|m| m.params.len()), want.map(|m| m.params.len()));
+            // Asking twice serves the built index, not the first scan.
+            prop_assert_eq!(p.method(name), want);
         }
     }
 }
