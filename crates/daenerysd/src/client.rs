@@ -11,7 +11,7 @@ use crate::chaos::{splitmix64, WireFault, WireFaultPlan};
 use crate::protocol::{
     read_frame, write_frame, AdminRequest, ErrorCode, FrameError, Request, Response,
 };
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -165,9 +165,7 @@ impl Client {
         let _ = stream.set_nodelay(true);
         let fault = self.faults.fault_for(req.id, u64::from(attempt));
         self.send_with_fault(&stream, req, fault)?;
-        let mut reader = stream;
-        let payload = read_frame(&mut reader, |_| true).map_err(ClientError::Frame)?;
-        Response::decode(&payload).map_err(ClientError::Decode)
+        read_response(stream)
     }
 
     fn send_with_fault(
@@ -238,9 +236,7 @@ impl Client {
         let _ = stream.set_nodelay(true);
         let mut w = &stream;
         write_frame(&mut w, req.encode().as_bytes()).map_err(ClientError::Io)?;
-        let mut reader = stream;
-        let payload = read_frame(&mut reader, |_| true).map_err(ClientError::Frame)?;
-        Response::decode(&payload).map_err(ClientError::Decode)
+        read_response(stream)
     }
 
     /// Sends with retry: failed transports, chaos-faulted sends,
@@ -288,6 +284,12 @@ impl Client {
         }
         Err(ClientError::Exhausted { attempts, last })
     }
+}
+
+/// Reads and decodes the one response frame of an attempt.
+fn read_response(stream: TcpStream) -> Result<Response, ClientError> {
+    let payload = read_frame(&mut BufReader::new(stream), |_| true).map_err(ClientError::Frame)?;
+    Response::decode(&payload).map_err(ClientError::Decode)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use std::time::Duration;
 /// SIGTERM/SIGINT/SIGUSR1 land here via the raw `signal(2)` shim — no
 /// libc crate in the image, and each handler body is just an atomic
 /// store, which is async-signal-safe. SIGUSR1 requests a live metrics
-/// snapshot (printed by the accept loop) without stopping the daemon.
+/// snapshot (printed by the daemon's ticker) without stopping it.
 #[cfg(unix)]
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
