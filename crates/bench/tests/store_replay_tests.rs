@@ -151,21 +151,33 @@ fn tables_store_export_prints_the_live_entries() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The flags that selected the second solver core and the JSONL store
-/// are unknown flags: usage errors that exit 2 before any work.
+/// The flags that selected the second solver core, the JSONL store, and
+/// the solver cache, canonicalization and learning ablations are
+/// unknown flags: usage errors that exit 2, naming the flag, before any
+/// work.
 #[test]
 fn solver_and_store_format_flags_exit_2() {
+    let tables = env!("CARGO_BIN_EXE_tables");
     for (path, args) in [
-        (env!("CARGO_BIN_EXE_tables"), ["--store-format", "jsonl"]),
-        (env!("CARGO_BIN_EXE_tables"), ["--solver", "dpll"]),
+        (tables, &["--store-format", "jsonl"][..]),
+        (tables, &["--solver", "dpll"][..]),
+        (tables, &["--no-cache"][..]),
+        (tables, &["--no-simplify"][..]),
+        (tables, &["--no-learn"][..]),
         (
             env!("CARGO_BIN_EXE_store_replay"),
-            ["--store-format", "daes1"],
+            &["--store-format", "daes1"][..],
         ),
     ] {
-        let out = bin(path, &args);
+        let out = bin(path, args);
         assert_eq!(out.status.code(), Some(2), "{} {:?}", path, args);
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("unknown flag"), "{} {:?}: {}", path, args, err);
+        assert!(
+            err.contains("unknown flag") && err.contains(args[0]),
+            "{} {:?}: {}",
+            path,
+            args,
+            err
+        );
     }
 }

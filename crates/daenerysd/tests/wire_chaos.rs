@@ -349,9 +349,9 @@ fn over_budget_tenants_are_refused_not_queued() {
     config.policy.max_in_flight = 1;
     // A deep queue proves refusal is *admission*, not queue overflow.
     config.queue_cap = 16;
-    // Learning off makes the diverging query genuinely slow, so the
-    // first request reliably holds its slot while the second arrives.
-    config.base.learn = false;
+    // The pigeonhole query runs for seconds past its deadline
+    // unbudgeted, so the first request reliably holds its slot while
+    // the second arrives.
     let (addr, flag, handle) = start(config);
 
     // One connection, two back-to-back requests for the same tenant:
@@ -361,7 +361,7 @@ fn over_budget_tenants_are_refused_not_queued() {
     stream
         .set_read_timeout(Some(Duration::from_secs(15)))
         .unwrap();
-    let mut slow = Request::new(1, "greedy", daenerys_idf::diverging_program(18));
+    let mut slow = Request::new(1, "greedy", daenerys_idf::pigeonhole_program(11));
     slow.deadline_ms = Some(1_500);
     let second = Request::new(2, "greedy", GOOD);
     write_frame(&mut stream, slow.encode().as_bytes()).unwrap();

@@ -451,6 +451,60 @@ pub fn diverging_program(k: usize) -> String {
     )
 }
 
+/// A hard propositional workload for deadline and admission tests:
+/// the pigeonhole principle for `holes + 1` pigeons, as one method
+/// `pigeonhole` whose Bool parameter `b{p}_{h}` says pigeon `p` sits in
+/// hole `h`. The body asserts that the pigeons do not fit: it is not
+/// the case that every pigeon sits in some hole and no two pigeons
+/// share one. The assertion holds, but refuting the placement takes
+/// every resolution proof, and so clause learning, time exponential in
+/// `holes`, and no theory reasoning or cache can shortcut it.
+///
+/// The placement is one expression, conjoined as a balanced tree: as
+/// separate precondition conjuncts or a left-leaning chain, its
+/// hundreds of clauses would nest hundreds of levels deep in the
+/// solver's formula, and the recursive passes over it would overflow a
+/// thread's stack.
+pub fn pigeonhole_program(holes: usize) -> String {
+    let holes = holes.max(1);
+    let pigeons = holes + 1;
+    let mut params = Vec::new();
+    let mut clauses = Vec::new();
+    for p in 0..pigeons {
+        let row: Vec<String> = (0..holes).map(|h| format!("b{}_{}", p, h)).collect();
+        params.extend(row.iter().map(|b| format!("{}: Bool", b)));
+        clauses.push(format!("({})", row.join(" || ")));
+    }
+    for h in 0..holes {
+        for p in 0..pigeons {
+            for q in p + 1..pigeons {
+                clauses.push(format!("!(b{p}_{h} && b{q}_{h})", p = p, q = q, h = h));
+            }
+        }
+    }
+    format!(
+        "method pigeonhole({})\n{{\n  assert !{}\n}}\n",
+        params.join(", "),
+        balanced_conjunction(&clauses),
+    )
+}
+
+/// `(a && b && …)` as a balanced tree, so its depth grows with the
+/// logarithm of the clause count.
+fn balanced_conjunction(clauses: &[String]) -> String {
+    match clauses {
+        [one] => one.clone(),
+        _ => {
+            let (left, right) = clauses.split_at(clauses.len() / 2);
+            format!(
+                "({} && {})",
+                balanced_conjunction(left),
+                balanced_conjunction(right)
+            )
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,6 +594,15 @@ mod tests {
             s.cache_hits,
             s.cache_misses
         );
+    }
+
+    #[test]
+    fn pigeonhole_program_verifies() {
+        for holes in [1, 2, 3] {
+            let p = parse_program(&pigeonhole_program(holes)).unwrap();
+            let mut v = Verifier::new(&p, Backend::Destabilized);
+            assert!(v.verify_all().is_ok(), "pigeonhole {} failed", holes);
+        }
     }
 
     #[test]

@@ -48,10 +48,10 @@ pub enum Backend {
 
 /// Tuning knobs for the verifier pipeline.
 ///
-/// The *performance* knobs (`threads`, `cache`) change cost, never
-/// answers: outcomes and normalized statistics are identical for every
-/// setting. The *resilience* knobs (`budget`, `faults`) can degrade a
-/// method's verdict to [`Verdict::Unknown`] or
+/// The *performance* knob (`threads`) changes cost, never answers:
+/// outcomes and normalized statistics are identical for every setting.
+/// The *resilience* knobs (`budget`, `faults`) can degrade a method's
+/// verdict to [`Verdict::Unknown`] or
 /// [`Verdict::CrashedInternal`] — but deterministically (the
 /// wall-clock deadline excepted), and never for sibling methods: each
 /// method is verified in isolation, so a fault or exhausted budget in
@@ -62,9 +62,6 @@ pub struct VerifierConfig {
     /// Worker threads for [`Verifier::verify_all`]; `0` means one per
     /// available CPU.
     pub threads: usize,
-    /// Whether the solver's memo layers (query + theory cache) are
-    /// consulted.
-    pub cache: bool,
     /// Per-method resource budget (default: unlimited on every axis).
     pub budget: Budget,
     /// Deterministic fault-injection plan for chaos testing (default:
@@ -74,24 +71,12 @@ pub struct VerifierConfig {
     /// ([`Budget::escalated`]) budget before settling on `Unknown`
     /// (default: `true`; a no-op under the unlimited budget).
     pub retry_unknown: bool,
-    /// Canonicalize terms at intern time (constant folding, commuted
-    /// argument ordering, neutral/absorbing-element elimination) so
-    /// equal obligations hash-cons to the same term (default: `true`).
-    pub simplify: bool,
-    /// Enable clause learning in the CDCL search: first-UIP conflict
-    /// clauses, with lemmas retained across queries within a method
-    /// (default: `true`). Off runs the same search with chronological
-    /// backtracking; answers are identical either way.
-    pub learn: bool,
     /// Fail any method whose specification contains an assertion the
     /// static stability analyzer classifies
     /// [`StabilityClass::Unstable`] (default: `false`). This is an
     /// *answer-affecting* knob and is part of the incremental
     /// fingerprint.
     pub deny_unstable: bool,
-    /// Attach rendered per-finding provenance to `stability.classify`
-    /// trace events (default: `false`). Cost only, never answers.
-    pub explain_stability: bool,
     /// Directory of the persistent incremental verdict store. `Some`
     /// turns on incremental verification: methods whose semantic
     /// fingerprint matches a prior `Verified`/`Failed` entry are not
@@ -102,22 +87,55 @@ pub struct VerifierConfig {
     /// merge path emits them in program order, so traces are
     /// deterministic at any thread count.
     pub trace: TraceHandle,
+    /// Test-only reference switches, copied into every method's solver
+    /// and arena.
+    #[cfg(test)]
+    pub(crate) reference: Reference,
+}
+
+/// Switches for the solver's memo layers and intern-time
+/// canonicalization. The product always runs both; tests turn them off
+/// to check that they change cost, never answers.
+#[cfg(test)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Reference {
+    /// Consult the solver's query and theory caches.
+    pub(crate) cache: bool,
+    /// Canonicalize terms at intern time.
+    pub(crate) simplify: bool,
+}
+
+#[cfg(test)]
+impl Default for Reference {
+    fn default() -> Reference {
+        Reference {
+            cache: true,
+            simplify: true,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Reference {
+    fn applied(self, mut solver: Solver, mut arena: TermArena) -> (Solver, TermArena) {
+        solver.cache_enabled = self.cache;
+        arena.set_simplify(self.simplify);
+        (solver, arena)
+    }
 }
 
 impl Default for VerifierConfig {
     fn default() -> VerifierConfig {
         VerifierConfig {
             threads: 0,
-            cache: true,
             budget: Budget::UNLIMITED,
             faults: FaultPlan::default(),
             retry_unknown: true,
-            simplify: true,
-            learn: true,
             deny_unstable: false,
-            explain_stability: false,
             cache_dir: None,
             trace: TraceHandle::disabled(),
+            #[cfg(test)]
+            reference: Reference::default(),
         }
     }
 }
@@ -315,7 +333,7 @@ pub struct VerifyStats {
     pub obligations: usize,
     /// Solver entailment/consistency queries.
     pub solver_queries: usize,
-    /// CDCL decisions (reported as `dpll_branches` by the evaluation
+    /// CDCL decisions (reported as `decisions` by the evaluation
     /// harness).
     pub solver_branches: usize,
     /// CDCL conflicts.
@@ -583,7 +601,7 @@ pub struct Verifier<'a> {
 
 impl<'a> Verifier<'a> {
     /// Creates a verifier for `program` using `backend` and the default
-    /// configuration (caching on, one thread per CPU).
+    /// configuration (one thread per CPU, no verdict store).
     pub fn new(program: &'a Program, backend: Backend) -> Verifier<'a> {
         Verifier::with_config(program, backend, VerifierConfig::default())
     }
@@ -594,11 +612,10 @@ impl<'a> Verifier<'a> {
         backend: Backend,
         config: VerifierConfig,
     ) -> Verifier<'a> {
-        let mut solver = Solver::new();
-        solver.cache_enabled = config.cache;
-        solver.learn_enabled = config.learn;
-        let mut arena = TermArena::new();
-        arena.set_simplify(config.simplify);
+        let solver = Solver::new();
+        let arena = TermArena::new();
+        #[cfg(test)]
+        let (solver, arena) = config.reference.applied(solver, arena);
         let collector = config.trace.collector();
         Verifier {
             program,
@@ -789,7 +806,7 @@ impl<'a> Verifier<'a> {
         //
         // Entries are keyed `{method}@{config-fingerprint}` so runs
         // under different answer-affecting configs (daemon tenants
-        // with different budgets, a `--no-learn` flip) coexist in one
+        // with different budgets, a `deny_unstable` flip) coexist in one
         // store instead of thrashing each other's entries — and
         // tenants with *identical* config share one warm read side.
         let mut fingerprints: Vec<Option<crate::fingerprint::Fingerprint>> =
@@ -1148,21 +1165,14 @@ impl<'a> Verifier<'a> {
         let spec_verdicts = stability::analyze_method(method);
         if self.collector.is_enabled() {
             for v in &spec_verdicts {
-                let mut fields = vec![
-                    ("site".to_string(), Value::Str(v.site.to_string())),
-                    ("class".to_string(), Value::Str(v.class.to_string())),
-                    ("findings".to_string(), Value::UInt(v.findings.len() as u64)),
-                ];
-                if self.config.explain_stability {
-                    let detail = v
-                        .findings
-                        .iter()
-                        .map(|f| f.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; ");
-                    fields.push(("detail".to_string(), Value::Str(detail)));
-                }
-                self.collector.event("stability.classify", fields);
+                self.collector.event(
+                    "stability.classify",
+                    vec![
+                        ("site".to_string(), Value::Str(v.site.to_string())),
+                        ("class".to_string(), Value::Str(v.class.to_string())),
+                        ("findings".to_string(), Value::UInt(v.findings.len() as u64)),
+                    ],
+                );
             }
         }
         if self.config.deny_unstable {

@@ -6,12 +6,12 @@
 //! are irrelevant), (c) the program's field declarations, and (d) the
 //! answer-affecting [`VerifierConfig`]
 //! knobs: backend, budget, the faults aimed at the method,
-//! `retry_unknown`, `simplify`, and `learn`. The [`Fingerprint`] hashes
+//! `retry_unknown`, and `deny_unstable`. The [`Fingerprint`] hashes
 //! exactly those inputs, so a stored verdict may be reused iff the
 //! fingerprint matches: editing one method's body invalidates that
 //! method; editing a *spec* additionally invalidates the direct
-//! callers; performance-only knobs (`threads`, `cache`, tracing,
-//! `cache_dir` itself) are deliberately excluded.
+//! callers; performance-only knobs (`threads`, tracing, `cache_dir`
+//! itself) are deliberately excluded.
 
 use crate::ast::{Method, Program, Stmt};
 use crate::diag::splitmix64;
@@ -130,10 +130,14 @@ pub fn interface_fingerprint(method: &Method) -> Fingerprint {
 }
 
 /// The canonical text of the configuration knobs that can change
-/// `method`'s verdict. Cost-only knobs (`threads`, `cache`, tracing,
-/// `cache_dir`, `explain_stability`) are excluded: they are property-tested to be
+/// `method`'s verdict. Cost-only knobs (`threads`, tracing,
+/// `cache_dir`) are excluded: they are property-tested to be
 /// answer-transparent, so a verdict cached under one setting is valid
 /// under any other.
+///
+/// The `simplify=true;learn=true` bytes are fixed: canonicalization
+/// and clause learning always run, and the bytes keep fingerprints
+/// (and so verdict stores) written by earlier builds valid.
 pub fn config_text(backend: Backend, config: &VerifierConfig, method: &str) -> String {
     let faults: Vec<String> = config
         .faults
@@ -141,13 +145,11 @@ pub fn config_text(backend: Backend, config: &VerifierConfig, method: &str) -> S
         .map(|k| format!("{:?}", k))
         .collect();
     format!(
-        "backend={:?};budget={:?};faults={:?};retry_unknown={};simplify={};learn={};deny_unstable={}",
+        "backend={:?};budget={:?};faults={:?};retry_unknown={};simplify=true;learn=true;deny_unstable={}",
         backend,
         config.budget,
         faults,
         config.retry_unknown,
-        config.simplify,
-        config.learn,
         config.deny_unstable
     )
 }
@@ -391,7 +393,6 @@ mod tests {
                 Backend::Destabilized,
                 &VerifierConfig {
                     threads: 8,
-                    cache: false,
                     ..base.clone()
                 }
             ),
@@ -404,14 +405,6 @@ mod tests {
         let base = VerifierConfig::default();
         let a = fp(SRC, "get", &base);
         for cfg in [
-            VerifierConfig {
-                simplify: false,
-                ..base.clone()
-            },
-            VerifierConfig {
-                learn: false,
-                ..base.clone()
-            },
             VerifierConfig {
                 retry_unknown: false,
                 ..base.clone()
@@ -430,15 +423,7 @@ mod tests {
         // Cost-only knobs leave it unchanged.
         for cfg in [
             VerifierConfig {
-                explain_stability: true,
-                ..base.clone()
-            },
-            VerifierConfig {
                 threads: 8,
-                ..base.clone()
-            },
-            VerifierConfig {
-                cache: false,
                 ..base.clone()
             },
             VerifierConfig {

@@ -17,6 +17,8 @@ pub mod fingerprint;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
+#[cfg(test)]
+mod prop_tests;
 pub mod session;
 pub mod smt;
 pub mod stability;
@@ -28,8 +30,8 @@ pub mod wf;
 pub use ast::{Assertion, Expr, Method, Op, Program, Span, Stmt, Type};
 pub use budget::{Budget, BudgetAxis, Fault, FaultKind, FaultPlan};
 pub use cases::{
-    all_cases, chain_program, diverging_program, negative_cases, positive_cases, scaling_program,
-    Case,
+    all_cases, chain_program, diverging_program, negative_cases, pigeonhole_program,
+    positive_cases, scaling_program, Case,
 };
 pub use compile::{
     alloc_object, compile_method, compile_program, run_and_check, spec_holds, ConcreteError,

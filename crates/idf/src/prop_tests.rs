@@ -1,11 +1,15 @@
-//! Property tests for the IDF front-end: printer/parser round-trips and
-//! verifier robustness (no panics on arbitrary well-formed programs).
+//! Property tests for the IDF front-end: printer/parser round-trips,
+//! verifier robustness (no panics on arbitrary well-formed programs),
+//! and program-level transparency of the solver cache and intern-time
+//! canonicalization, which only the crate's own tests can switch off.
 
-use daenerys_algebra::Q;
-use daenerys_idf::{
+use crate::exec::Reference;
+use crate::smt::oracle;
+use crate::{
     parse_program, Assertion, Backend, Budget, BudgetAxis, Expr, FaultKind, FaultPlan, Method, Op,
     Program, Stmt, Type, Verdict, Verifier, VerifierConfig,
 };
+use daenerys_algebra::Q;
 use daenerys_obs::{ClockKind, Event, MemorySink, TraceHandle};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -38,7 +42,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
         var.clone(),
         var.clone().prop_map(|v| Expr::field(v, "v")),
         var.clone()
-            .prop_map(|v| Expr::Old(Box::new(Expr::field(v, "v")), daenerys_idf::Span::NONE)),
+            .prop_map(|v| Expr::Old(Box::new(Expr::field(v, "v")), crate::Span::NONE)),
     ];
     leaf.prop_recursive(3, 24, 2, |inner| {
         prop_oneof![
@@ -182,25 +186,26 @@ fn arb_budget() -> impl Strategy<Value = Budget> {
         })
 }
 
-/// Verifies `p` under the given solver toggles, projected to what must
+/// Verifies `p` with canonicalization on or off, projected to what must
 /// be invariant: each method's definite verdict (`Some(true)` verified,
 /// `Some(false)` failed, `None` indefinite) and its failed obligations.
 /// Failure *reports* render arena terms (canonicalization legitimately
-/// reshapes those spellings) and stats count branches/terms/learned
-/// clauses (both knobs change those costs), so neither is compared.
+/// reshapes those spellings) and stats count branches and terms (which
+/// canonicalization changes), so neither is compared.
 fn toggled_verdicts(
     p: &Program,
     simplify: bool,
-    learn: bool,
     threads: usize,
-) -> Vec<(String, Option<bool>, Vec<daenerys_idf::Obligation>)> {
+) -> Vec<(String, Option<bool>, Vec<crate::Obligation>)> {
     let mut v = Verifier::with_config(
         p,
         Backend::Destabilized,
         VerifierConfig {
             threads,
-            simplify,
-            learn,
+            reference: Reference {
+                simplify,
+                ..Reference::default()
+            },
             ..VerifierConfig::default()
         },
     );
@@ -224,9 +229,9 @@ fn toggled_verdicts(
 }
 
 /// On a program entirely inside the linear fragment — where every
-/// canonical rewrite is a logical equivalence — the full toggle matrix
-/// (canonicalization × clause learning) is verdict-transparent at 1, 2,
-/// and 8 threads, including for a method that definitely fails.
+/// canonical rewrite is a logical equivalence — canonicalization is
+/// verdict-transparent at 1, 2, and 8 threads, including for a method
+/// that definitely fails.
 #[test]
 fn toggle_matrix_is_verdict_transparent_on_linear_programs() {
     let p = parse_program(
@@ -240,7 +245,7 @@ fn toggle_matrix_is_verdict_transparent_on_linear_programs() {
          { if (x + 1 < y) { r := y - x } else { r := 1 } }",
     )
     .unwrap();
-    let baseline = toggled_verdicts(&p, true, true, 1);
+    let baseline = toggled_verdicts(&p, true, 1);
     assert!(
         baseline
             .iter()
@@ -248,17 +253,14 @@ fn toggle_matrix_is_verdict_transparent_on_linear_programs() {
         "the failing method must fail, or the matrix compares nothing"
     );
     for simplify in [true, false] {
-        for learn in [true, false] {
-            for threads in [1usize, 2, 8] {
-                assert_eq!(
-                    baseline,
-                    toggled_verdicts(&p, simplify, learn, threads),
-                    "verdicts diverge at simplify={}, learn={}, threads={}",
-                    simplify,
-                    learn,
-                    threads
-                );
-            }
+        for threads in [1usize, 2, 8] {
+            assert_eq!(
+                baseline,
+                toggled_verdicts(&p, simplify, threads),
+                "verdicts diverge at simplify={}, threads={}",
+                simplify,
+                threads
+            );
         }
     }
 }
@@ -266,14 +268,16 @@ fn toggle_matrix_is_verdict_transparent_on_linear_programs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Differential (program level): on arbitrary programs, each
-    /// (canonicalization, learning) setting is exactly thread-
-    /// transparent, and across the learning toggle *definite* verdicts
-    /// always agree. On nonlinear programs the CDCL core may decide an
-    /// obligation naive DPLL leaves Unknown (propagation skips a
-    /// theory-Unknown leaf), and canonicalization may merge commuted
-    /// opaque atoms — both are precision improvements, so bit-exact
-    /// toggle equality is asserted only on the linear fragment (see
+    /// Differential (program level): on arbitrary programs, with
+    /// canonicalization on or off, verdicts are exactly thread-
+    /// transparent, and no query the single-threaded run poses gets a
+    /// definite answer the reference DPLL contradicts. On nonlinear
+    /// programs either search may leave `Unknown` what the other
+    /// decides (the CDCL search decides opaque atoms the reference
+    /// leaves open, and propagation skips theory-Unknown leaves the
+    /// reference visits), and canonicalization may merge commuted
+    /// opaque atoms, so bit-exact agreement is asserted only on the
+    /// linear fragment (see `cdcl_matches_dpll_on_linear_program`,
     /// `canonicalization_is_answer_transparent` and
     /// `toggle_matrix_is_verdict_transparent_on_linear_programs`).
     #[test]
@@ -281,29 +285,19 @@ proptest! {
         simplify in any::<bool>(),
         p in arb_program(),
     ) {
-        let mut per_learn = Vec::new();
-        for learn in [true, false] {
-            let baseline = toggled_verdicts(&p, simplify, learn, 1);
-            for threads in [2usize, 8] {
-                prop_assert_eq!(
-                    &baseline,
-                    &toggled_verdicts(&p, simplify, learn, threads),
-                    "thread count changed verdicts (simplify={}, learn={}, threads={}) on:\n{}",
-                    simplify, learn, threads, p
-                );
-            }
-            per_learn.push(baseline);
-        }
-        // Across the learning toggle, a method definitely verified by
-        // one core must never be definitely failed by the other.
-        for ((name, with, _), (_, without, _)) in per_learn[0].iter().zip(&per_learn[1]) {
-            if let (Some(a), Some(b)) = (with, without) {
-                prop_assert_eq!(
-                    a, b,
-                    "cores give contradictory definite verdicts for {} (simplify={}) on:\n{}",
-                    name, simplify, p
-                );
-            }
+        let (baseline, tally) = oracle::cross_checked(|| toggled_verdicts(&p, simplify, 1));
+        prop_assert!(
+            tally.contradictions == 0,
+            "CDCL and the reference DPLL contradict each other (simplify={}) on:\n{}\n{}",
+            simplify, p, tally.mismatches.join("\n")
+        );
+        for threads in [2usize, 8] {
+            prop_assert_eq!(
+                &baseline,
+                &toggled_verdicts(&p, simplify, threads),
+                "thread count changed verdicts (simplify={}, threads={}) on:\n{}",
+                simplify, threads, p
+            );
         }
     }
 
@@ -318,7 +312,10 @@ proptest! {
                 Backend::Destabilized,
                 VerifierConfig {
                     threads: 1,
-                    cache,
+                    reference: Reference {
+                        cache,
+                        ..Reference::default()
+                    },
                     ..VerifierConfig::default()
                 },
             );
@@ -433,10 +430,13 @@ proptest! {
                 VerifierConfig {
                     threads,
                     budget,
-                    cache,
                     faults: plan.clone(),
                     retry_unknown: false,
                     trace: TraceHandle::new(sink.clone(), ClockKind::Logical),
+                    reference: Reference {
+                        cache,
+                        ..Reference::default()
+                    },
                     ..VerifierConfig::default()
                 },
             );

@@ -330,8 +330,7 @@ macro_rules! bin {
 /// `ite` shells reduce — so syntactically different but equal terms
 /// hash-cons to the same [`TermId`]. All the extra rules are semantic
 /// equivalences, so they change term counts and solver cost, never
-/// answers; [`TermArena::set_simplify`] turns them off to measure the
-/// difference.
+/// answers; tests turn them off to check exactly that.
 #[derive(Clone, Debug)]
 pub struct TermArena {
     nodes: Vec<Term>,
@@ -342,7 +341,7 @@ pub struct TermArena {
     /// can prune the run.
     limit: Option<usize>,
     /// Whether the canonicalizing rewrite rules (beyond plain constant
-    /// folding) run at intern time.
+    /// folding) run at intern time. Always on outside tests.
     simplify: bool,
 }
 
@@ -389,13 +388,15 @@ impl TermArena {
     /// constant folding always runs; the toggle covers only the
     /// canonicalization layer (commutative ordering, idempotence,
     /// complements, self-comparisons, boolean `ite` shells), so `off`
-    /// reproduces the pre-canonicalization pipeline for measurement.
-    pub fn set_simplify(&mut self, on: bool) {
+    /// reproduces the pre-canonicalization pipeline as a reference.
+    #[cfg(test)]
+    pub(crate) fn set_simplify(&mut self, on: bool) {
         self.simplify = on;
     }
 
     /// Whether the canonicalizing rewrite rules are enabled.
-    pub fn simplify_enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn simplify_enabled(&self) -> bool {
         self.simplify
     }
 

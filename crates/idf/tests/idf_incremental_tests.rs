@@ -208,28 +208,28 @@ fn legacy_jsonl_store_serves_no_verdict() {
 
 #[test]
 fn config_switch_invalidates_the_store() {
-    // Clause learning is answer-affecting for the fingerprint: verdicts
-    // cached with learning on must never be replayed for a no-learn
-    // run (and vice versa), even though both agree on every answer.
+    // `deny_unstable` is answer-affecting for the fingerprint: verdicts
+    // cached without it must never be replayed for a denying run (and
+    // vice versa), even where both agree on every answer.
     let dir = temp_dir("config-switch");
     let cfg = config(&dir);
     let program = parse_program(SRC).unwrap();
     let (first, cold) = run(&program, &cfg);
     assert_eq!(cold, 3);
-    let no_learn = VerifierConfig {
-        learn: false,
+    let denying = VerifierConfig {
+        deny_unstable: true,
         ..cfg.clone()
     };
-    let (second, switched) = run(&program, &no_learn);
+    let (second, switched) = run(&program, &denying);
     assert_eq!(switched, 3, "a config switch re-verifies everything");
-    // Outcomes agree; cost statistics legitimately differ.
+    // Every contract here is stable, so the outcomes agree.
     assert!(
         second.values().all(Verdict::is_verified) && first.len() == second.len(),
         "both settings agree on every verdict"
     );
     // Store entries are keyed by the answer-affecting config
-    // fingerprint, so the no-learn pass wrote entries *alongside* the
-    // learning ones instead of overwriting them: switching back is
+    // fingerprint, so the denying pass wrote entries *alongside* the
+    // default ones instead of overwriting them: switching back is
     // warm.
     let (_, back) = run(&program, &cfg);
     assert_eq!(back, 0, "per-config entries coexist; no thrashing");

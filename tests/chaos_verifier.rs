@@ -15,8 +15,8 @@
 //!    completes.
 
 use daenerys::idf::{
-    diverging_program, parse_program, Backend, Budget, BudgetAxis, FaultKind, FaultPlan,
-    UnknownReason, Verdict, Verifier, VerifierConfig,
+    diverging_program, parse_program, pigeonhole_program, Backend, Budget, BudgetAxis, FaultKind,
+    FaultPlan, UnknownReason, Verdict, Verifier, VerifierConfig,
 };
 use std::collections::BTreeMap;
 use std::sync::Once;
@@ -161,9 +161,9 @@ fn zero_deadline_yields_unknown_not_hang() {
 }
 
 /// Deadline promptness under the CDCL core: a deliberately hard query
-/// (`diverging_program(18)` with clause learning off runs for tens of
-/// seconds unbudgeted) must come back `Unknown` within a small multiple
-/// of its deadline. This only holds because the solver polls the
+/// (`pigeonhole_program(11)` runs for about 18 s unbudgeted in a
+/// release build, longer in a debug one) must come back `Unknown`
+/// within a small multiple of its deadline. This only holds because the solver polls the
 /// deadline *inside* its conflict loop — a check at query boundaries
 /// alone would run the full search before noticing the overrun.
 #[test]
@@ -173,9 +173,8 @@ fn deadline_is_enforced_inside_the_conflict_loop() {
     // the deadline plus poll granularity (one wall-clock read per 64
     // conflicts).
     const PROMPTNESS_BOUND_MS: u128 = 3_000;
-    let program = parse_program(&diverging_program(18)).expect("diverging program parses");
+    let program = parse_program(&pigeonhole_program(11)).expect("pigeonhole program parses");
     let config = VerifierConfig {
-        learn: false,
         budget: Budget::unlimited().with_deadline_ms(DEADLINE_MS),
         retry_unknown: false,
         threads: 1,
@@ -183,7 +182,7 @@ fn deadline_is_enforced_inside_the_conflict_loop() {
     };
     let mut v = Verifier::with_config(&program, Backend::Destabilized, config);
     let started = std::time::Instant::now();
-    let verdict = v.verify_method_verdict("diverge");
+    let verdict = v.verify_method_verdict("pigeonhole");
     let elapsed = started.elapsed();
     assert_eq!(
         exhausted_axis(&verdict),
