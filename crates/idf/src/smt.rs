@@ -2416,6 +2416,51 @@ mod tests {
         (pc, SymExpr::le(SymExpr::int(0), sum))
     }
 
+    /// Retained cross-query lemmas never change an answer: a solver that
+    /// keeps its learned clauses for the whole sequence answers exactly
+    /// like one that drops them before every query.
+    #[test]
+    fn learning_gives_identical_answers() {
+        let build = |clear: bool| {
+            let (mut cx, s) = int_solver(3);
+            // Disable memoization so repeated queries actually re-solve.
+            cx.solver.cache_enabled = false;
+            let x = s[0].clone();
+            let y = s[1].clone();
+            let (dpc, dgoal) = diverging_queries(&s);
+            let queries: Vec<(Vec<SymExpr>, SymExpr)> = vec![
+                (
+                    vec![SymExpr::le(x.clone(), y.clone())],
+                    SymExpr::lt(x.clone(), y.clone()),
+                ),
+                (
+                    vec![SymExpr::lt(x.clone(), y.clone())],
+                    SymExpr::le(x.clone(), y.clone()),
+                ),
+                (vec![], SymExpr::eq(x.clone(), x.clone())),
+                (
+                    vec![
+                        SymExpr::lt(x.clone(), SymExpr::int(0)),
+                        SymExpr::lt(SymExpr::int(0), x.clone()),
+                    ],
+                    SymExpr::bool(false),
+                ),
+                (dpc.clone(), dgoal.clone()),
+                (dpc, dgoal),
+            ];
+            queries
+                .into_iter()
+                .map(|(pc, g)| {
+                    if clear {
+                        cx.solver.clear_learned();
+                    }
+                    cx.entails(&pc, &g)
+                })
+                .collect::<Vec<Answer>>()
+        };
+        assert_eq!(build(false), build(true));
+    }
+
     #[test]
     fn learned_clauses_prune_repeated_branching() {
         let branches_of_second_run = |clear: bool| {
@@ -2867,6 +2912,32 @@ mod tests {
                 prop_assert_eq!(
                     ac, ap,
                     "canonicalization changed answer for pc={:?}, goal={:?}", pc, goal
+                );
+            }
+        }
+
+        /// Differential: retained clause learning never changes an
+        /// answer. Learned clauses are negations of theory-conflict
+        /// cores — valid lemmas — so carrying them across queries may
+        /// only prune work. The stream is replayed with memoization off
+        /// so the second pass actually re-solves against the
+        /// accumulated clauses, and every answer must match a solver
+        /// that drops its lemmas before each query.
+        #[test]
+        fn clause_learning_is_answer_transparent(stream in arb_query_stream()) {
+            let mut retaining = stream_solver();
+            let mut clearing = stream_solver();
+            retaining.cache_enabled = false;
+            clearing.cache_enabled = false;
+            let mut arena_r = TermArena::new();
+            let mut arena_c = TermArena::new();
+            for (pc, goal) in stream.iter().chain(stream.iter()) {
+                clearing.clear_learned();
+                let ar = retaining.entails_exprs(&mut arena_r, pc, goal);
+                let ac = clearing.entails_exprs(&mut arena_c, pc, goal);
+                prop_assert_eq!(
+                    ar, ac,
+                    "retained lemmas changed answer for pc={:?}, goal={:?}", pc, goal
                 );
             }
         }
