@@ -4,51 +4,37 @@
 //!
 //! ```text
 //! cargo run -p daenerys-bench --bin tables [--t1] [--t2] [--t3] [--t4] \
-//!     [--f1] [--f2] [--f3] [--json] [--threads N] [--timeout-ms N] \
-//!     [--fuel N] [--repeat N] [--trace-out PATH] [--profile] \
-//!     [--incremental] [--cache-dir PATH] [--expect-reverified N] \
-//!     [--out-dir PATH] [--deny-unstable] [--explain-stability]
+//!     [--f1] [--f2] [--f3] [--threads N] [--timeout-ms N] [--fuel N] \
+//!     [--trace-out PATH] [--incremental] [--cache-dir PATH] \
+//!     [--expect-reverified N] [--deny-unstable] [--explain-stability]
 //! cargo run -p daenerys-bench --bin tables store export <dir>
 //! ```
 //!
-//! With no table/figure flags, every table and figure is printed.
+//! With no table/figure flags, every table and figure is printed. The
+//! verifier rows (T1, F1) print work counts only: end-to-end timing
+//! lives in the `e2e_bench` workspace and the Criterion benches.
 //!
 //! * `--threads N` pins the verification fan-out (cost only, never
 //!   answers). The solver cache, intern-time canonicalization and
-//!   clause learning always run; timing lives in the `e2e_bench`
-//!   workspace, and the answer-transparency of each layer is checked
-//!   by the `daenerys-idf` unit tests.
+//!   clause learning always run; the answer-transparency of each layer
+//!   is checked by the `daenerys-idf` unit tests.
 //! * `--incremental` adds the F1 incremental section: each case is
 //!   verified against the persistent verdict store under `--cache-dir`
 //!   (default `target/ivc`), its restored verdicts are checked
 //!   bit-identical against a from-scratch run, and the number of
 //!   re-verified methods is reported. `--expect-reverified N` turns
 //!   that report into a hard assertion (exit 1 on mismatch) for CI.
-//! * `--out-dir PATH` places generated artifacts (`BENCH_verifier.json`,
-//!   `PROFILE_verifier.txt`) under `PATH` (default `target/bench`, so
-//!   casual runs never litter the repo root; pass `--out-dir .` to
-//!   refresh a committed baseline in place).
 //! * `store export <dir>` (subcommand) prints the live entries of the
 //!   verdict store under `<dir>` as JSONL on stdout, one object per
 //!   line in key order. Export only: stores are never read from JSONL.
 //! * `--timeout-ms N` sets a per-method wall-clock deadline and
 //!   `--fuel N` a per-method solver-fuel budget (CDCL conflicts +
-//!   propagations); a
-//!   method that blows its budget is reported (and counted in the
-//!   JSON) as `Unknown` instead of hanging the harness.
-//! * `--repeat N` measures each timed row as the median of `N` runs
-//!   after one untimed warmup (default 5); `N` is recorded in the JSON
-//!   config block.
-//! * `--json` additionally writes `BENCH_verifier.json` (machine-readable
-//!   F1 data: per-case wall time, phase attribution, solver queries,
-//!   and cache hit rate for both backends, plus the chain and
-//!   diverging sweeps).
+//!   propagations); a method that blows its budget degrades to
+//!   `Unknown` (its counters drop out of the rows) instead of hanging
+//!   the harness.
 //! * `--trace-out PATH` streams the flight-recorder trace (spans,
 //!   solver queries, budget gauges) of every verification as JSONL to
 //!   `PATH`; validate it with the `trace_validate` binary.
-//! * `--profile` prints a phase-attribution profile of the positive
-//!   case studies and writes it to `PROFILE_verifier.txt`; given
-//!   alone, only the profile runs.
 //! * `--deny-unstable` makes every run fail methods whose contracts the
 //!   static stability analyzer classifies unstable (answer-affecting,
 //!   part of the incremental fingerprint); `--explain-stability`
@@ -56,10 +42,7 @@
 //!   classification, spans, and fix hints (a static pass, no
 //!   verification runs).
 
-use daenerys_bench::{
-    measure_median, micros, profile_events, render_profile, run_backend_with, BackendRun,
-    ProfileReport,
-};
+use daenerys_bench::{micros, run_backend_with, BackendRun};
 use daenerys_core::check::{catalog, corpus, ghost_catalog, verify_catalog};
 use daenerys_core::{check_stable, stabilize_fast, Assert, CameraKind, Term, UniverseSpec};
 use daenerys_heaplang::{explore, parse, Machine};
@@ -67,12 +50,12 @@ use daenerys_idf::{
     all_cases, analyze_program, chain_program, diverging_program, parse_program, positive_cases,
     scaling_program, Backend, StabilityClass, VerifierConfig,
 };
-use daenerys_obs::{ClockKind, JsonlSink, MemorySink, TraceHandle};
+use daenerys_obs::{ClockKind, JsonlSink, TraceHandle};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-const KNOWN_FLAGS: [&str; 20] = [
+const KNOWN_FLAGS: [&str; 16] = [
     "--t1",
     "--t2",
     "--t3",
@@ -80,17 +63,13 @@ const KNOWN_FLAGS: [&str; 20] = [
     "--f1",
     "--f2",
     "--f3",
-    "--json",
     "--threads",
     "--timeout-ms",
     "--fuel",
-    "--repeat",
     "--trace-out",
-    "--profile",
     "--incremental",
     "--cache-dir",
     "--expect-reverified",
-    "--out-dir",
     "--deny-unstable",
     "--explain-stability",
 ];
@@ -98,18 +77,13 @@ const KNOWN_FLAGS: [&str; 20] = [
 /// Parsed command line.
 struct Opts {
     selected: Vec<String>,
-    json: bool,
-    profile: bool,
-    repeat: usize,
     trace_out: Option<String>,
     /// Verdict-store root for the incremental section (`Some` when
     /// `--incremental` or `--cache-dir` is given). Kept out of
-    /// `config` so the timed rows never measure the restore path.
+    /// `config` so the other rows always verify from scratch.
     cache_dir: Option<std::path::PathBuf>,
     /// Hard assertion on the incremental section's re-verified total.
     expect_reverified: Option<usize>,
-    /// Where generated artifacts are written (default: `target/bench`).
-    out_dir: std::path::PathBuf,
     config: VerifierConfig,
 }
 
@@ -117,21 +91,15 @@ fn parse_args() -> Opts {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = Opts {
         selected: Vec::new(),
-        json: false,
-        profile: false,
-        repeat: 5,
         trace_out: None,
         cache_dir: None,
         expect_reverified: None,
-        out_dir: std::path::PathBuf::from("target/bench"),
         config: VerifierConfig::default(),
     };
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         match a {
-            "--json" => opts.json = true,
-            "--profile" => opts.profile = true,
             "--deny-unstable" => opts.config.deny_unstable = true,
             "--incremental" => {
                 if opts.cache_dir.is_none() {
@@ -156,28 +124,6 @@ fn parse_args() -> Opts {
                     Some(n) => opts.expect_reverified = Some(n),
                     None => {
                         eprintln!("tables: --expect-reverified needs an integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--out-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) if !path.starts_with("--") => {
-                        opts.out_dir = std::path::PathBuf::from(path);
-                    }
-                    _ => {
-                        eprintln!("tables: --out-dir needs a directory path");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--repeat" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => opts.repeat = n,
-                    _ => {
-                        eprintln!("tables: --repeat needs a positive integer");
                         std::process::exit(2);
                     }
                 }
@@ -299,9 +245,7 @@ fn main() {
         };
         opts.config.trace = TraceHandle::new(sink, ClockKind::Monotonic);
     }
-    // `--profile` given alone runs only the profile; combined with
-    // table flags it rides along.
-    let all = opts.selected.is_empty() && !opts.profile;
+    let all = opts.selected.is_empty();
     let want = |flag: &str| all || opts.selected.iter().any(|a| a == flag);
     if opts.expect_reverified.is_some() && (opts.cache_dir.is_none() || !want("--f1")) {
         eprintln!("tables: --expect-reverified requires --f1 and --incremental/--cache-dir");
@@ -331,9 +275,6 @@ fn main() {
     }
     if want("--f3") {
         figure_f3();
-    }
-    if opts.profile {
-        run_profile(&opts);
     }
     if let Some(path) = &opts.trace_out {
         opts.config.trace.flush();
@@ -386,69 +327,6 @@ fn explain_stability(opts: &Opts) {
             "    --deny-unstable: {} assertion(s) above would fail verification",
             unstable
         );
-    }
-}
-
-/// A traced single run of `src`, reduced to a phase-attribution
-/// profile. Overrides any `--trace-out` handle with a private
-/// in-memory sink so the profile never pollutes the JSONL stream.
-fn phase_profile(src: &str, backend: Backend, base: &VerifierConfig) -> ProfileReport {
-    let sink = Arc::new(MemorySink::new(1 << 16));
-    let config = VerifierConfig {
-        trace: TraceHandle::new(sink.clone(), ClockKind::Monotonic),
-        ..base.clone()
-    };
-    let _ = run_backend_with(src, backend, config);
-    profile_events(&sink.events())
-}
-
-/// `--profile`: phase attribution of the positive case studies (plus
-/// the exponential diverging case) on the destabilized backend, each
-/// with its release-over-release counters (`decisions`,
-/// `learned_clauses`, `methods_reverified`), printed and written to
-/// `PROFILE_verifier.txt` under `--out-dir`.
-fn run_profile(opts: &Opts) {
-    println!("\nProfile: phase attribution per case (destabilized backend)");
-    let mut cases: Vec<(String, String)> = positive_cases()
-        .iter()
-        .map(|c| (c.name.to_string(), c.source.to_string()))
-        .collect();
-    cases.push(("diverging_6".to_string(), diverging_program(6)));
-    let mut out = String::new();
-    for (name, src) in &cases {
-        let report = phase_profile(src, Backend::Destabilized, &opts.config);
-        // Counters come from an untraced run (through the verdict
-        // store when `--incremental` is active, so the re-verified
-        // count is meaningful).
-        let config = VerifierConfig {
-            cache_dir: opts.cache_dir.as_ref().map(|d| d.join(name)),
-            ..opts.config.clone()
-        };
-        let run = run_backend_with(src, Backend::Destabilized, config);
-        let counters = format!(
-            "counters: decisions={} conflicts={} theory_props={} learned_clauses={} methods_reverified={}\n",
-            run.total(|s| s.solver_branches),
-            run.total(|s| s.solver_conflicts),
-            run.total(|s| s.theory_props),
-            run.total(|s| s.learned_clauses),
-            run.reverified
-                .map_or_else(|| "n/a".to_string(), |n| n.to_string()),
-        );
-        let block = format!("== {} ==\n{}{}", name, render_profile(&report), counters);
-        println!();
-        for line in block.lines() {
-            println!("    {}", line);
-        }
-        out.push_str(&block);
-        out.push('\n');
-    }
-    let path = artifact_path(opts, "PROFILE_verifier.txt");
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("\n    wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("tables: cannot write {}: {}", path.display(), e);
-            std::process::exit(1);
-        }
     }
 }
 
@@ -629,120 +507,103 @@ fn table_t4() {
 /// Sizes of the F1 chain sweep.
 const CHAIN_SIZES: [usize; 7] = [2, 4, 8, 16, 32, 64, 128];
 
-/// F1: verifier scaling — time and work vs. program size, plus the
-/// chain sweep (how much of the repeated branch work the solver cache
-/// absorbs) and the diverging sweep (CDCL search counters).
+/// F1: verifier scaling — work vs. program size, plus the chain sweep
+/// (how much of the repeated branch work the solver cache absorbs) and
+/// the diverging sweep (CDCL search counters). Timing for the same
+/// families is the `verifier_scaling` Criterion bench.
 fn figure_f1(opts: &Opts) {
     println!("\nF1. Verifier scaling (n objects updated; spec reads every field)\n");
     println!(
-        "    {:>4} | {:>9} {:>7} | {:>9} {:>7} {:>7} | {:>7}",
-        "n", "obl_D", "µs_D", "obl_S+reb", "µs_S", "wit_S", "ratio"
+        "    {:>4} | {:>9} | {:>9} {:>7} | {:>7}",
+        "n", "obl_D", "obl_S+reb", "wit_S", "ratio"
     );
-    println!("    {}", "-".repeat(66));
+    println!("    {}", "-".repeat(50));
     for n in [1usize, 2, 4, 8, 16, 24] {
         let src = scaling_program(n);
-        let d = measure_median(&src, Backend::Destabilized, &opts.config, opts.repeat);
-        let s = measure_median(&src, Backend::StableBaseline, &opts.config, opts.repeat);
+        let d = run_backend_with(&src, Backend::Destabilized, opts.config.clone());
+        let s = run_backend_with(&src, Backend::StableBaseline, opts.config.clone());
         let od = d.total(|x| x.obligations);
         let os = s.total(|x| x.obligations) + s.total(|x| x.rebinds);
         println!(
-            "    {:>4} | {:>9} {:>7} | {:>9} {:>7} {:>7} | {:>6.2}x",
+            "    {:>4} | {:>9} | {:>9} {:>7} | {:>6.2}x",
             n,
             od,
-            micros(d.time),
             os,
-            micros(s.time),
             s.total(|x| x.witnesses),
             os as f64 / od.max(1) as f64
         );
     }
 
     println!("\nF1b. Chain sweep: memoized pipeline (destabilized)\n");
-    println!(
-        "    {:>4} | {:>8} | {:>6} {:>6} {:>6}",
-        "n", "µs_memo", "q", "hits", "miss"
-    );
-    println!("    {}", "-".repeat(42));
-    let mut chain_rows = Vec::new();
+    println!("    {:>4} | {:>6} {:>6} {:>6}", "n", "q", "hits", "miss");
+    println!("    {}", "-".repeat(31));
     for n in CHAIN_SIZES {
         let src = chain_program(n);
-        let dm = measure_median(&src, Backend::Destabilized, &opts.config, opts.repeat);
-        let sm = measure_median(&src, Backend::StableBaseline, &opts.config, opts.repeat);
+        let dm = run_backend_with(&src, Backend::Destabilized, opts.config.clone());
+        // The stable baseline must verify the chain too (the harness
+        // panics otherwise); only the destabilized counts are printed.
+        run_backend_with(&src, Backend::StableBaseline, opts.config.clone());
         println!(
-            "    {:>4} | {:>8} | {:>6} {:>6} {:>6}",
+            "    {:>4} | {:>6} {:>6} {:>6}",
             n,
-            micros(dm.time),
             dm.total(|x| x.solver_queries),
             dm.total(|x| x.cache_hits),
             dm.total(|x| x.cache_misses),
         );
-        chain_rows.push((n, dm, sm));
     }
 
     // F1c: the exponential case — the CDCL search counters, comparable
     // release over release.
     println!("\nF1c. Diverging sweep: CDCL search (destabilized)\n");
     println!(
-        "    {:>4} | {:>8} | {:>9} {:>6} {:>5} {:>6} {:>7}",
-        "k", "µs", "decisions", "confl", "rst", "tprops", "learned"
+        "    {:>4} | {:>9} {:>6} {:>5} {:>6} {:>7}",
+        "k", "decisions", "confl", "rst", "tprops", "learned"
     );
-    println!("    {}", "-".repeat(56));
-    let mut diverging_rows = Vec::new();
+    println!("    {}", "-".repeat(45));
     for k in DIVERGING_SIZES {
-        let src = diverging_program(k);
-        let d = measure_median(&src, Backend::Destabilized, &opts.config, opts.repeat);
+        let d = run_backend_with(
+            &diverging_program(k),
+            Backend::Destabilized,
+            opts.config.clone(),
+        );
         println!(
-            "    {:>4} | {:>8} | {:>9} {:>6} {:>5} {:>6} {:>7}",
+            "    {:>4} | {:>9} {:>6} {:>5} {:>6} {:>7}",
             k,
-            micros(d.time),
             d.total(|x| x.solver_branches),
             d.total(|x| x.solver_conflicts),
             d.total(|x| x.solver_restarts),
             d.total(|x| x.theory_props),
             d.total(|x| x.learned_clauses),
         );
-        diverging_rows.push((k, d));
     }
 
-    let incremental_rows = incremental_section(opts);
-
-    if opts.json {
-        write_bench_json(opts, &chain_rows, &diverging_rows, &incremental_rows);
-    }
+    incremental_section(opts);
 }
 
 /// Sizes of the F1 diverging sweep (`2^k` raw DPLL branches each).
 const DIVERGING_SIZES: [usize; 4] = [2, 4, 6, 8];
-
-/// One row of the F1 incremental section: case name, method count,
-/// methods actually re-verified, and wall time of the incremental run.
-type IncrementalRow = (String, usize, usize, std::time::Duration);
 
 /// F1d (only with `--incremental`/`--cache-dir`): verifies each case
 /// against a per-case persistent verdict store, checks the outcome
 /// bit-identical to a from-scratch run, and reports how many methods
 /// the store could not absorb. Exits nonzero when the total disagrees
 /// with `--expect-reverified`.
-fn incremental_section(opts: &Opts) -> Vec<IncrementalRow> {
+fn incremental_section(opts: &Opts) {
     let Some(dir) = &opts.cache_dir else {
-        return Vec::new();
+        return;
     };
     println!(
         "\nF1d. Incremental verification (verdict store under {})\n",
         dir.display()
     );
-    println!(
-        "    {:<18} {:>7} {:>10} {:>9}",
-        "case", "methods", "reverified", "µs"
-    );
-    println!("    {}", "-".repeat(48));
+    println!("    {:<18} {:>7} {:>10}", "case", "methods", "reverified");
+    println!("    {}", "-".repeat(38));
     let mut corpus: Vec<(String, String)> = positive_cases()
         .iter()
         .map(|c| (c.name.to_string(), c.source.to_string()))
         .collect();
     corpus.push(("chain_32".to_string(), chain_program(32)));
     corpus.push(("diverging_6".to_string(), diverging_program(6)));
-    let mut rows = Vec::new();
     let mut total = 0usize;
     for (name, src) in &corpus {
         let config = VerifierConfig {
@@ -766,15 +627,13 @@ fn incremental_section(opts: &Opts) -> Vec<IncrementalRow> {
         let reverified = inc.reverified.expect("incremental run reports a count");
         total += reverified;
         println!(
-            "    {:<18} {:>7} {:>10} {:>9}",
+            "    {:<18} {:>7} {:>10}",
             name,
             inc.verdicts.len(),
-            reverified,
-            micros(inc.time)
+            reverified
         );
-        rows.push((name.clone(), inc.verdicts.len(), reverified, inc.time));
     }
-    println!("    {}", "-".repeat(48));
+    println!("    {}", "-".repeat(38));
     println!("    total methods re-verified: {}", total);
     if let Some(expect) = opts.expect_reverified {
         if total != expect {
@@ -786,166 +645,6 @@ fn incremental_section(opts: &Opts) -> Vec<IncrementalRow> {
         }
         println!("    matches --expect-reverified {}", expect);
     }
-    rows
-}
-
-/// Renders an optional count as JSON (`null` when unlimited).
-fn json_opt(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
-/// One measurement as a JSON object.
-///
-/// # Panics
-///
-/// Panics when the counter invariant `hits + misses == queries` is
-/// broken — the harness refuses to emit inconsistent numbers.
-fn run_json(run: &BackendRun) -> String {
-    run.check_cache_accounting();
-    let hits = run.total(|x| x.cache_hits);
-    let misses = run.total(|x| x.cache_misses);
-    let rate = if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    };
-    format!(
-        "{{\"wall_micros\": {:.1}, \"solver_queries\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}, \"decisions\": {}, \"conflicts\": {}, \"restarts\": {}, \"theory_props\": {}, \"learned_clauses\": {}, \"obligations\": {}, \"interned_terms\": {}, \"stability_skips\": {}, \"unknown_methods\": {}, \"budget_exhausted\": {}, \"methods_reverified\": {}}}",
-        run.time.as_secs_f64() * 1e6,
-        run.total(|x| x.solver_queries),
-        hits,
-        misses,
-        rate,
-        run.total(|x| x.solver_branches),
-        run.total(|x| x.solver_conflicts),
-        run.total(|x| x.solver_restarts),
-        run.total(|x| x.theory_props),
-        run.total(|x| x.learned_clauses),
-        run.total(|x| x.obligations),
-        run.total(|x| x.interned_terms),
-        run.total(|x| x.stability_skips),
-        run.unknown_methods(),
-        run.budget_exhausted(),
-        json_opt(run.reverified.map(|n| n as u64)),
-    )
-}
-
-/// The phase-attribution block of one JSON case: front-end and
-/// symbolic-execution time plus total solver fuel, from one traced run.
-fn phases_json(p: &ProfileReport) -> String {
-    format!(
-        "{{\"parse_micros\": {:.1}, \"exec_micros\": {:.1}, \"pre_micros\": {:.1}, \"body_micros\": {:.1}, \"post_micros\": {:.1}, \"solver_fuel\": {}}}",
-        p.pipeline_micros("parse"),
-        p.exec_micros(),
-        p.method_phase_micros("pre"),
-        p.method_phase_micros("body"),
-        p.method_phase_micros("post"),
-        p.total_fuel(),
-    )
-}
-
-/// Emits `BENCH_verifier.json`: the positive case studies, the chain
-/// sweep, the diverging (clause-learning) sweep, and — when enabled —
-/// the incremental section.
-fn write_bench_json(
-    opts: &Opts,
-    chain_rows: &[(usize, BackendRun, BackendRun)],
-    diverging_rows: &[(usize, BackendRun)],
-    incremental_rows: &[IncrementalRow],
-) {
-    let mut cases = Vec::new();
-    for case in positive_cases() {
-        let mut d = measure_median(
-            case.source,
-            Backend::Destabilized,
-            &opts.config,
-            opts.repeat,
-        );
-        // With `--incremental`/`--cache-dir` active, graft the
-        // warm-rerun restore count onto the timed measurement: the
-        // per-case verdict store was populated by the F1d section, so
-        // this run reports how many methods the store could not
-        // absorb instead of a `methods_reverified: null`.
-        if let Some(dir) = &opts.cache_dir {
-            let warm = run_backend_with(
-                case.source,
-                Backend::Destabilized,
-                VerifierConfig {
-                    cache_dir: Some(dir.join(case.name)),
-                    ..opts.config.clone()
-                },
-            );
-            d.reverified = warm.reverified;
-        }
-        let s = measure_median(
-            case.source,
-            Backend::StableBaseline,
-            &opts.config,
-            opts.repeat,
-        );
-        let p = phase_profile(case.source, Backend::Destabilized, &opts.config);
-        cases.push(format!(
-            "    {{\"name\": \"{}\", \"destabilized\": {}, \"stable_baseline\": {}, \"phases\": {}}}",
-            case.name,
-            run_json(&d),
-            run_json(&s),
-            phases_json(&p)
-        ));
-    }
-    let mut chain = Vec::new();
-    for (n, dm, sm) in chain_rows {
-        chain.push(format!(
-            "    {{\"n\": {}, \"destabilized\": {{\"memoized\": {}}}, \"stable_baseline\": {{\"memoized\": {}}}}}",
-            n,
-            run_json(dm),
-            run_json(sm)
-        ));
-    }
-    let mut diverging = Vec::new();
-    for (k, d) in diverging_rows {
-        diverging.push(format!("    {{\"k\": {}, \"learn\": {}}}", k, run_json(d)));
-    }
-    let mut incremental = Vec::new();
-    for (name, methods, reverified, time) in incremental_rows {
-        incremental.push(format!(
-            "    {{\"name\": \"{}\", \"methods\": {}, \"methods_reverified\": {}, \"wall_micros\": {:.1}}}",
-            name,
-            methods,
-            reverified,
-            time.as_secs_f64() * 1e6
-        ));
-    }
-    let json = format!
-        (
-        "{{\n  \"experiment\": \"F1 verifier pipeline\",\n  \"command\": \"cargo run -p daenerys-bench --bin tables -- --f1 --json\",\n  \"config\": {{\"deny_unstable\": {}, \"incremental\": {}, \"threads\": {}, \"timeout_ms\": {}, \"fuel\": {}, \"repeat\": {}}},\n  \"cases\": [\n{}\n  ],\n  \"chain\": [\n{}\n  ],\n  \"diverging\": [\n{}\n  ],\n  \"incremental\": [\n{}\n  ]\n}}\n",
-        opts.config.deny_unstable,
-        opts.cache_dir.is_some(),
-        opts.config.threads,
-        json_opt(opts.config.budget.deadline_ms),
-        json_opt(opts.config.budget.solver_fuel),
-        opts.repeat,
-        cases.join(",\n"),
-        chain.join(",\n"),
-        diverging.join(",\n"),
-        incremental.join(",\n"),
-    );
-    let path = artifact_path(opts, "BENCH_verifier.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\n    wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("tables: cannot write {}: {}", path.display(), e);
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Joins `name` onto `--out-dir`, creating the directory first.
-fn artifact_path(opts: &Opts, name: &str) -> std::path::PathBuf {
-    if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
-        eprintln!("tables: cannot create {}: {}", opts.out_dir.display(), e);
-        std::process::exit(1);
-    }
-    opts.out_dir.join(name)
 }
 
 /// F2: stabilization cost — semantic ⌊·⌋ vs. the syntactic stabilizer.

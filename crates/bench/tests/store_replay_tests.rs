@@ -1,6 +1,7 @@
-//! Integration gates for the edit-replay sweep at CI-friendly scale:
-//! the same invariants `store_replay` enforces at 10k methods, here on
-//! a ~200-method corpus so they run on every `cargo test`.
+//! Integration gates for the edit-replay sweep on generated call DAGs
+//! (200 and 1000 methods), sized so they run on every `cargo test`:
+//! cold, warm and scripted-edit runs re-verify exactly the generator's
+//! ground truth, and warm restores are bit-identical at 1/2/8 threads.
 
 use daenerys_bench::corpus::{Corpus, CorpusSpec, Edit};
 use daenerys_idf::{parse_program, Backend, Verdict, VerdictStore, Verifier, VerifierConfig};
@@ -44,21 +45,20 @@ fn snapshot(from: &Path, to: &Path) {
     }
 }
 
-#[test]
-fn daes1_sweep_replays_edits_against_ground_truth() {
-    let corpus = Corpus::generate(CorpusSpec {
-        methods: 200,
-        depth: 8,
-        ..CorpusSpec::default()
-    });
+/// Cold → warm → scripted-edit sweep over the corpus `spec` generates,
+/// every phase gated against the generator's own ground truth. Returns
+/// how many methods the hub-spec edit re-verified.
+fn replay_sweep(spec: CorpusSpec) -> usize {
+    let corpus = Corpus::generate(spec);
     let base = corpus.source(None);
-    let root = temp_dir("daes1");
+    let root = temp_dir(&format!("daes1-{}", spec.methods));
     let cold_dir = root.join("cold");
 
-    // Cold: everything verifies.
+    // Cold: everything verifies, and the store holds every method.
     let (cold, reverified) = run(&base, &cold_dir, 1);
     assert_eq!(reverified, corpus.len());
     assert!(cold.values().all(Verdict::is_verified));
+    assert_eq!(VerdictStore::open(&cold_dir).len(), corpus.len());
 
     // Warm: nothing re-verifies, verdicts restore bit-identically —
     // at one, two, and eight worker threads.
@@ -76,6 +76,7 @@ fn daes1_sweep_replays_edits_against_ground_truth() {
 
     // Scripted edits re-verify exactly what the generator's ground
     // truth says they must.
+    let mut hub = 0;
     for edit in [Edit::TouchLeafBody, Edit::TouchHubSpec, Edit::TouchSpecNoop] {
         let dir = root.join(edit.name());
         snapshot(&cold_dir, &dir);
@@ -87,9 +88,32 @@ fn daes1_sweep_replays_edits_against_ground_truth() {
             edit
         );
         assert!(verdicts.values().all(Verdict::is_verified));
+        if edit == Edit::TouchHubSpec {
+            hub = reverified;
+        }
     }
 
     let _ = std::fs::remove_dir_all(&root);
+    hub
+}
+
+#[test]
+fn daes1_sweep_replays_edits_against_ground_truth() {
+    replay_sweep(CorpusSpec {
+        methods: 200,
+        depth: 8,
+        ..CorpusSpec::default()
+    });
+    // The 1k-method DAG at seed 7: the hub-spec edit's cone is pinned
+    // to a literal as well as to the generator's ground truth, so a
+    // generator change that moves both shows up here.
+    let hub = replay_sweep(CorpusSpec {
+        methods: 1000,
+        depth: 10,
+        seed: 7,
+        ..CorpusSpec::default()
+    });
+    assert_eq!(hub, 70, "hub-spec edit cone on the 1k-method corpus");
 }
 
 /// The hub-edit cone is a real monorepo shape: strictly bigger than
@@ -151,23 +175,27 @@ fn tables_store_export_prints_the_live_entries() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The flags that selected the second solver core, the JSONL store, and
-/// the solver cache, canonicalization and learning ablations are
-/// unknown flags: usage errors that exit 2, naming the flag, before any
-/// work.
+/// Removed flags are unknown flags: usage errors that exit 2, naming
+/// the flag, before any work. They selected the second solver core, the
+/// JSONL store, the solver cache, canonicalization and learning
+/// ablations, and the timing artifacts `tables` and `server_replay`
+/// used to write.
 #[test]
 fn solver_and_store_format_flags_exit_2() {
     let tables = env!("CARGO_BIN_EXE_tables");
+    let server_replay = env!("CARGO_BIN_EXE_server_replay");
     for (path, args) in [
         (tables, &["--store-format", "jsonl"][..]),
         (tables, &["--solver", "dpll"][..]),
         (tables, &["--no-cache"][..]),
         (tables, &["--no-simplify"][..]),
         (tables, &["--no-learn"][..]),
-        (
-            env!("CARGO_BIN_EXE_store_replay"),
-            &["--store-format", "daes1"][..],
-        ),
+        (tables, &["--json"][..]),
+        (tables, &["--repeat", "5"][..]),
+        (tables, &["--profile"][..]),
+        (tables, &["--out-dir", "x"][..]),
+        (server_replay, &["--out", "x"][..]),
+        (server_replay, &["--keep-store"][..]),
     ] {
         let out = bin(path, args);
         assert_eq!(out.status.code(), Some(2), "{} {:?}", path, args);

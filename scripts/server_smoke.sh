@@ -3,17 +3,17 @@
 # (full wire-fault matrix + a fault-free reference pass), SIGTERM, and
 # assert a graceful drain — the daemon exits 0 on its own, reports
 # zero leaked sessions, and leaves a flushed, uncorrupted verdict
-# store. The replay driver enforces the bit-identical chaos gate AND
-# the admission conservation invariant (its mid-run health scrapes)
-# via its own exit code.
+# store with zero contained panics. `server_replay` enforces the
+# bit-identical chaos gate AND the admission conservation invariant
+# (its mid-run health scrapes) via its own exit code.
 #
 # The admin plane is smoked alongside: daenerys-top scrapes live
 # metrics/health while the chaos replay hammers the daemon, the trace
 # tail must revalidate through trace_validate, SIGUSR1 must produce a
 # live snapshot line without stopping the daemon, and the final health
-# scrape must conserve. Artifacts: BENCH_server.json, the daemon's
-# final metrics snapshot, the mid-run daenerys-top frames, the health
-# body, and the streamed trace tail.
+# scrape must conserve. Artifacts: the daemon's final metrics snapshot,
+# the mid-run daenerys-top frames (with their per-phase table), the
+# health body, and the streamed trace tail.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,8 +50,7 @@ done
 ./target/release/daenerys-top --addr "$ADDR" --interval-ms 500 \
     --frames 8 --no-clear > "$OUT_DIR/daenerys-top.txt" 2>&1 &
 TOP_PID=$!
-./target/release/server_replay --addr "$ADDR" --requests 96 \
-    --out "$OUT_DIR/BENCH_server.json"
+./target/release/server_replay --addr "$ADDR" --requests 96
 TOP_STATUS=0
 wait "$TOP_PID" || TOP_STATUS=$?
 [ "$TOP_STATUS" -eq 0 ] || {
@@ -60,6 +59,8 @@ wait "$TOP_PID" || TOP_STATUS=$?
 }
 grep -q 'conserved yes' "$OUT_DIR/daenerys-top.txt"
 grep -q '^tenant-' "$OUT_DIR/daenerys-top.txt"
+# The live frames carry server-side phase attribution under load.
+grep -q '^PHASE' "$OUT_DIR/daenerys-top.txt"
 
 # The replay's own conservation gate ran mid-chaos; the final ledger
 # must conserve too (daenerys-top --health exits non-zero otherwise).
@@ -84,11 +85,6 @@ done
 ./target/release/daenerys-top --addr "$ADDR" --health > /dev/null \
     || { echo "daemon stopped answering after SIGUSR1"; exit 1; }
 
-# The BENCH server block carries the phase attribution the scrapes saw.
-grep -q '"server":{' "$OUT_DIR/BENCH_server.json"
-grep -q '"phases":{' "$OUT_DIR/BENCH_server.json"
-grep -q '"conserved_failures":0' "$OUT_DIR/BENCH_server.json"
-
 # Graceful drain: on SIGTERM the daemon must finish in-flight work,
 # flush the store, write its snapshot, and exit 0 by itself.
 kill -TERM "$DAEMON_PID"
@@ -98,8 +94,10 @@ wait "$DAEMON_PID" || DAEMON_STATUS=$?
     echo "daemon exited $DAEMON_STATUS after SIGTERM"; cat "$LOG"; exit 1;
 }
 
-# Zero leaked sessions, store flushed and clean, in DAES1 shards.
+# Zero leaked sessions, zero contained panics, store flushed and
+# clean, in DAES1 shards.
 grep -q '"leaked_sessions":0' "$OUT_DIR/metrics.json"
+grep -q '"internal_crashes":0' "$OUT_DIR/metrics.json"
 grep -q '"store_corrupt_lines":0' "$OUT_DIR/metrics.json"
 ls "$STORE_DIR"/verdicts-*.daes > /dev/null
 
