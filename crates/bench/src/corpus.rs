@@ -79,6 +79,8 @@ pub struct Corpus {
     spec: CorpusSpec,
     /// `edges[i]` = callee indices of method `i` (all `< i`).
     edges: Vec<Vec<usize>>,
+    /// `callers[j]` = indices of the methods calling `j`, ascending.
+    callers: Vec<Vec<usize>>,
     /// First method index of each layer (layer 0 starts at 0).
     layer_starts: Vec<usize>,
 }
@@ -140,9 +142,16 @@ impl Corpus {
             }
             edges.push(callees.into_iter().collect());
         }
+        let mut callers = vec![Vec::new(); n];
+        for (i, callees) in edges.iter().enumerate() {
+            for &j in callees {
+                callers[j].push(i);
+            }
+        }
         Corpus {
             spec,
             edges,
+            callers,
             layer_starts,
         }
     }
@@ -197,7 +206,7 @@ impl Corpus {
     }
 
     fn caller_count(&self, i: usize) -> usize {
-        self.edges.iter().filter(|c| c.contains(&i)).count()
+        self.callers[i].len()
     }
 
     /// Ground truth straight from the adjacency: every method that can
@@ -207,8 +216,8 @@ impl Corpus {
         let mut out = BTreeSet::from([target]);
         let mut queue = VecDeque::from([target]);
         while let Some(cur) = queue.pop_front() {
-            for (i, callees) in self.edges.iter().enumerate() {
-                if callees.contains(&cur) && out.insert(i) {
+            for &i in &self.callers[cur] {
+                if out.insert(i) {
                     queue.push_back(i);
                 }
             }
@@ -277,6 +286,68 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The quadratic scans the reverse adjacency replaced: the oracle
+    /// the linear `hub`, `leaf` and `reverse_reachable` must match.
+    mod scan {
+        use super::*;
+
+        fn caller_count(c: &Corpus, i: usize) -> usize {
+            c.edges.iter().filter(|cs| cs.contains(&i)).count()
+        }
+
+        pub fn leaf(c: &Corpus) -> usize {
+            let layer0_end = if c.layer_starts.len() > 1 {
+                c.layer_starts[1]
+            } else {
+                c.len()
+            };
+            (0..layer0_end)
+                .max_by_key(|&i| caller_count(c, i))
+                .unwrap_or(0)
+        }
+
+        pub fn hub(c: &Corpus) -> usize {
+            (0..c.len())
+                .max_by_key(|&i| caller_count(c, i))
+                .unwrap_or(0)
+        }
+
+        pub fn reverse_reachable(c: &Corpus, target: usize) -> BTreeSet<usize> {
+            let mut out = BTreeSet::from([target]);
+            let mut queue = VecDeque::from([target]);
+            while let Some(cur) = queue.pop_front() {
+                for (i, callees) in c.edges.iter().enumerate() {
+                    if callees.contains(&cur) && out.insert(i) {
+                        queue.push_back(i);
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn reverse_adjacency_matches_the_scans() {
+        for (methods, seed) in [(1, 1), (40, 2), (300, 3), (1000, 0xDAE5), (1000, 7)] {
+            let c = Corpus::generate(CorpusSpec {
+                methods,
+                seed,
+                ..CorpusSpec::default()
+            });
+            assert_eq!(c.hub(), scan::hub(&c), "hub, seed {}", seed);
+            assert_eq!(c.leaf(), scan::leaf(&c), "leaf, seed {}", seed);
+            for target in (0..c.len()).step_by(7).chain([c.hub(), c.leaf()]) {
+                assert_eq!(
+                    c.reverse_reachable(target),
+                    scan::reverse_reachable(&c, target),
+                    "cone of m{}, seed {}",
+                    target,
+                    seed
+                );
+            }
+        }
+    }
 
     #[test]
     fn generation_is_deterministic_and_acyclic() {

@@ -364,6 +364,12 @@ impl Program {
     /// cannot see is renaming a method in place to a name declared
     /// *later*, which makes a duplicate that [`crate::wf`] rejects.
     pub fn method(&self, name: &str) -> Option<&Method> {
+        self.method_index(name).map(|i| &self.methods[i])
+    }
+
+    /// The position in `methods` of the declaration [`Program::method`]
+    /// returns for `name`.
+    pub fn method_index(&self, name: &str) -> Option<usize> {
         let index = self.index.0.get_or_init(|| {
             let mut index = HashMap::with_capacity(self.methods.len());
             for (i, m) in self.methods.iter().enumerate() {
@@ -371,9 +377,9 @@ impl Program {
             }
             index
         });
-        match index.get(name).and_then(|&i| self.methods.get(i)) {
-            Some(m) if m.name == name => Some(m),
-            _ => self.methods.iter().find(|m| m.name == name),
+        match index.get(name) {
+            Some(&i) if self.methods.get(i).is_some_and(|m| m.name == name) => Some(i),
+            _ => self.methods.iter().position(|m| m.name == name),
         }
     }
 

@@ -68,18 +68,25 @@ impl DepGraph {
     /// Builds the graph of `program`: every declared method is a node
     /// (bodyless methods too — callers depend on their specs), with
     /// edges from [`direct_callees`].
+    /// With duplicate names, the last declaration's node is kept.
     pub fn of_program(program: &Program) -> DepGraph {
-        let mut nodes = BTreeMap::new();
-        for m in &program.methods {
-            nodes.insert(
-                m.name.clone(),
-                DepNode {
-                    interface: interface_fingerprint(m),
-                    callees: direct_callees(m),
-                },
-            );
+        DepGraph::from_nodes(program.methods.iter().map(|m| {
+            let node = DepNode {
+                interface: interface_fingerprint(m),
+                callees: direct_callees(m),
+            };
+            (m.name.clone(), node)
+        }))
+    }
+
+    /// The graph of `nodes` in declaration order; a later node replaces
+    /// an earlier one of the same name.
+    pub(crate) fn from_nodes(nodes: impl IntoIterator<Item = (String, DepNode)>) -> DepGraph {
+        let mut graph = DepGraph::new();
+        for (name, node) in nodes {
+            graph.nodes.insert(name, node);
         }
-        DepGraph { nodes }
+        graph
     }
 
     /// The node for `name`, if present.

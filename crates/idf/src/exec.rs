@@ -816,20 +816,20 @@ impl<'a> Verifier<'a> {
         let mut hits = 0usize;
         let mut misses = 0usize;
         let mut dirty_transitive = 0usize;
-        let cur_graph = store
-            .is_present()
-            .then(|| crate::depgraph::DepGraph::of_program(self.program));
-        if let Some(cur) = &cur_graph {
+        // One pass computes every fingerprint and the current graph.
+        let plane = store.is_present().then(|| {
+            crate::fingerprint::fingerprint_plane(self.program, self.backend, &self.config)
+        });
+        if let Some(plane) = &plane {
             let cfg_fp = crate::fingerprint::config_fingerprint(self.backend, &self.config);
             keys = names.iter().map(|n| format!("{}@{}", n, cfg_fp)).collect();
             for (i, name) in names.iter().enumerate() {
-                let method = self.program.method(name).expect("scheduled methods exist");
-                let fp = crate::fingerprint::method_fingerprint(
-                    self.program,
-                    method,
-                    self.backend,
-                    &self.config,
-                );
+                // The declaration `Program::method` resolves `name` to.
+                let at = self
+                    .program
+                    .method_index(name)
+                    .expect("scheduled methods exist");
+                let fp = plane.fingerprints[at];
                 fingerprints[i] = Some(fp);
                 restored[i] = store.lookup(&keys[i], fp);
                 if restored[i].is_none() {
@@ -845,9 +845,9 @@ impl<'a> Verifier<'a> {
             // reproduces the stored verdict bit for bit; a missing or
             // damaged graph only widens this cone (absent nodes are
             // roots), never narrows it.
-            let roots = store.plan_and_absorb_graph(cur);
+            let roots = store.plan_and_absorb_graph(&plane.graph);
             if !roots.is_empty() {
-                let dirty = cur.reverse_reachable(&roots);
+                let dirty = plane.graph.reverse_reachable(&roots);
                 for (i, name) in names.iter().enumerate() {
                     if restored[i].is_some() && dirty.contains(name) {
                         restored[i] = None;
@@ -870,12 +870,12 @@ impl<'a> Verifier<'a> {
         let mut pending: Vec<usize> = (0..names.len())
             .filter(|&i| restored[i].is_none())
             .collect();
-        if let Some(cur) = &cur_graph {
+        if let Some(plane) = &plane {
             // Callee-first scheduling: warms the solver's cross-method
             // lemma locality bottom-up. Purely a dispatch order — the
             // program-order merge below keeps results and traces
             // identical whatever the schedule.
-            pending = cur.topo_order(&names, &pending);
+            pending = plane.graph.topo_order(&names, &pending);
         }
         self.reverified = store.is_present().then_some(pending.len());
         self.reverified_names = store.is_present().then(|| {

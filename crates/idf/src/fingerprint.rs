@@ -14,9 +14,12 @@
 //! itself) are deliberately excluded.
 
 use crate::ast::{Method, Program, Stmt};
+use crate::budget::FaultKind;
+use crate::depgraph::{DepGraph, DepNode};
 use crate::diag::splitmix64;
 use crate::exec::{Backend, VerifierConfig};
-use std::fmt;
+use crate::pretty::{Body, Interface};
+use std::fmt::{self, Write as _};
 
 /// A 128-bit semantic fingerprint (two independently seeded 64-bit
 /// FNV-1a/splitmix rolling hashes, so an accidental collision must
@@ -51,9 +54,21 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 const SEED_HI: u64 = 0xcbf2_9ce4_8422_2325;
 const SEED_LO: u64 = 0x6c62_272e_07bb_0142;
 
+/// The rolling hash. Text streams in through [`fmt::Write`], so a
+/// printed AST is hashed as it is formatted, never buffered.
 struct Hasher {
     hi: u64,
     lo: u64,
+}
+
+impl fmt::Write for Hasher {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for &b in text.as_bytes() {
+            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            self.lo = (self.lo ^ u64::from(b.rotate_left(3))).wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
+    }
 }
 
 impl Hasher {
@@ -64,15 +79,18 @@ impl Hasher {
         }
     }
 
-    fn write(&mut self, text: &str) {
-        for &b in text.as_bytes() {
-            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            self.lo = (self.lo ^ u64::from(b.rotate_left(3))).wrapping_mul(FNV_PRIME);
-        }
-        // A field separator that no text byte can produce, so
-        // ("ab", "c") and ("a", "bc") hash differently.
+    /// Closes the current field with a separator that no text byte can
+    /// produce, so ("ab", "c") and ("a", "bc") hash differently.
+    fn end(&mut self) {
         self.hi = self.hi.wrapping_mul(FNV_PRIME) ^ 0xff;
         self.lo = self.lo.wrapping_mul(FNV_PRIME) ^ 0xfe;
+    }
+
+    /// Hashes `text` as one field.
+    fn write(&mut self, text: impl fmt::Display) {
+        // Writing into the hasher itself cannot fail.
+        let _ = write!(self, "{}", text);
+        self.end();
     }
 
     fn finish(self) -> Fingerprint {
@@ -81,6 +99,66 @@ impl Hasher {
             lo: splitmix64(self.lo ^ 0x9e37_79b9),
         }
     }
+}
+
+/// The bytes an interface fingerprint consumes: a tag, then the
+/// [`normalized_interface`] text (streamed from the AST or cached).
+fn hash_interface(interface: impl fmt::Display) -> Fingerprint {
+    let mut h = Hasher::new();
+    h.write("interface");
+    h.write(interface);
+    h.finish()
+}
+
+/// The bytes a method fingerprint consumes, in order: the method's
+/// printed text (its interface, then its body block: `Method`'s
+/// `Display`), each field declaration, each direct callee's
+/// normalized interface (or a `missing:` marker for an undeclared
+/// callee), and the method's [`config_text`]. [`method_fingerprint`]
+/// and [`fingerprint_plane`] both hash through here, so the stream is
+/// defined once.
+fn hash_method<I: fmt::Display>(
+    interface: impl fmt::Display,
+    method: &Method,
+    fields: &[String],
+    callees: &[String],
+    callee_interface: impl Fn(&str) -> Option<I>,
+    config: &str,
+) -> Fingerprint {
+    let mut h = Hasher::new();
+    h.write("method");
+    let _ = write!(h, "{}", interface);
+    if let Some(body) = &method.body {
+        let _ = write!(h, "{}", Body(body));
+    }
+    h.end();
+    h.write("fields");
+    for field in fields {
+        h.write(field);
+    }
+    h.write("callees");
+    for callee in callees {
+        // The callee's *normalized interface*: its signature and
+        // contract pretty-printed from the AST, never its body (calls
+        // are verified against specs) and never the raw source text
+        // (formatting-only spec edits must not invalidate callers).
+        match callee_interface(callee) {
+            Some(interface) => h.write(interface),
+            None => h.write(format_args!("missing:{}", callee)),
+        }
+    }
+    h.write("config");
+    h.write(config);
+    h.finish()
+}
+
+/// Each field declaration as a method fingerprint hashes it.
+fn field_texts(program: &Program) -> Vec<String> {
+    program
+        .fields
+        .iter()
+        .map(|(name, ty)| format!("{}:{}", name, ty))
+        .collect()
 }
 
 /// The names of the methods `method`'s body calls directly, sorted and
@@ -115,7 +193,7 @@ pub fn direct_callees(method: &Method) -> Vec<String> {
 /// differ only in formatting normalize to the same string — callers are
 /// invalidated by what a spec *means*, never by how it was typed.
 pub fn normalized_interface(method: &Method) -> String {
-    crate::pretty::Interface(method).to_string()
+    Interface(method).to_string()
 }
 
 /// Fingerprint of a method's [`normalized_interface`] alone — the value
@@ -123,10 +201,7 @@ pub fn normalized_interface(method: &Method) -> String {
 /// later run can tell *which* specs changed (and dirty their transitive
 /// callers) without rehashing caller bodies.
 pub fn interface_fingerprint(method: &Method) -> Fingerprint {
-    let mut h = Hasher::new();
-    h.write("interface");
-    h.write(&normalized_interface(method));
-    h.finish()
+    hash_interface(Interface(method))
 }
 
 /// The canonical text of the configuration knobs that can change
@@ -139,11 +214,16 @@ pub fn interface_fingerprint(method: &Method) -> Fingerprint {
 /// and clause learning always run, and the bytes keep fingerprints
 /// (and so verdict stores) written by earlier builds valid.
 pub fn config_text(backend: Backend, config: &VerifierConfig, method: &str) -> String {
-    let faults: Vec<String> = config
-        .faults
-        .for_method(method)
-        .map(|k| format!("{:?}", k))
-        .collect();
+    config_text_with(backend, config, config.faults.for_method(method))
+}
+
+/// [`config_text`] with the method's fault slice given.
+fn config_text_with(
+    backend: Backend,
+    config: &VerifierConfig,
+    faults: impl Iterator<Item = FaultKind>,
+) -> String {
+    let faults: Vec<String> = faults.map(|k| format!("{:?}", k)).collect();
     format!(
         "backend={:?};budget={:?};faults={:?};retry_unknown={};simplify=true;learn=true;deny_unstable={}",
         backend,
@@ -162,9 +242,9 @@ pub fn config_text(backend: Backend, config: &VerifierConfig, method: &str) -> S
 pub fn config_fingerprint(backend: Backend, config: &VerifierConfig) -> Fingerprint {
     let mut h = Hasher::new();
     h.write("config");
-    h.write(&config_text(backend, config, ""));
+    h.write(config_text(backend, config, ""));
     h.write("faults");
-    h.write(&format!("{:?}", config.faults));
+    h.write(format_args!("{:?}", config.faults));
     h.finish()
 }
 
@@ -179,30 +259,77 @@ pub fn method_fingerprint(
     backend: Backend,
     config: &VerifierConfig,
 ) -> Fingerprint {
-    let mut h = Hasher::new();
-    h.write("method");
-    h.write(&method.to_string());
-    h.write("fields");
-    for (name, ty) in &program.fields {
-        h.write(&format!("{}:{}", name, ty));
+    hash_method(
+        Interface(method),
+        method,
+        &field_texts(program),
+        &direct_callees(method),
+        |callee| program.method(callee).map(Interface),
+        &config_text(backend, config, &method.name),
+    )
+}
+
+/// Every method fingerprint of one run plus its dependency graph.
+#[derive(Debug)]
+pub struct FingerprintPlane {
+    /// `fingerprints[i]` is the [`method_fingerprint`] of
+    /// `program.methods[i]`.
+    pub fingerprints: Vec<Fingerprint>,
+    /// The program's [`DepGraph::of_program`].
+    pub graph: DepGraph,
+}
+
+/// Computes the [`FingerprintPlane`] of `program` in one pass: each
+/// interface is printed once and serves every caller's fingerprint and
+/// the graph node; each callee list, the field text and the shared
+/// [`config_text`] are built once. Equal, method by method, to
+/// [`method_fingerprint`] and [`DepGraph::of_program`].
+pub fn fingerprint_plane(
+    program: &Program,
+    backend: Backend,
+    config: &VerifierConfig,
+) -> FingerprintPlane {
+    let interfaces: Vec<String> = program.methods.iter().map(normalized_interface).collect();
+    let callees: Vec<Vec<String>> = program.methods.iter().map(direct_callees).collect();
+    let fields = field_texts(program);
+    // Every method no fault targets shares one config text.
+    let shared_config = config_text_with(backend, config, std::iter::empty());
+    let fingerprints = program
+        .methods
+        .iter()
+        .zip(&interfaces)
+        .zip(&callees)
+        .map(|((method, interface), callees)| {
+            let own;
+            let config_text = if config.faults.for_method(&method.name).next().is_none() {
+                &shared_config
+            } else {
+                own = config_text(backend, config, &method.name);
+                &own
+            };
+            hash_method(
+                interface,
+                method,
+                &fields,
+                callees,
+                |callee| program.method_index(callee).map(|i| &interfaces[i]),
+                config_text,
+            )
+        })
+        .collect();
+    let graph = DepGraph::from_nodes(program.methods.iter().zip(&interfaces).zip(callees).map(
+        |((method, interface), callees)| {
+            let node = DepNode {
+                interface: hash_interface(interface),
+                callees,
+            };
+            (method.name.clone(), node)
+        },
+    ));
+    FingerprintPlane {
+        fingerprints,
+        graph,
     }
-    h.write("callees");
-    for callee in direct_callees(method) {
-        match program.method(&callee) {
-            Some(m) => {
-                // The callee's *normalized interface*: its signature
-                // and contract pretty-printed from the AST, never its
-                // body (calls are verified against specs) and never the
-                // raw source text (formatting-only spec edits must not
-                // invalidate callers).
-                h.write(&normalized_interface(m));
-            }
-            None => h.write(&format!("missing:{}", callee)),
-        }
-    }
-    h.write("config");
-    h.write(&config_text(backend, config, &method.name));
-    h.finish()
 }
 
 #[cfg(test)]

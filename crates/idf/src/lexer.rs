@@ -87,6 +87,28 @@ impl fmt::Display for Tok {
     }
 }
 
+/// A token as the parser reads it: an identifier borrows its text
+/// from the source, so only identifiers the AST keeps are allocated.
+/// Its `Debug` text matches [`Tok`]'s, which parse diagnostics quote.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Token<'s> {
+    Ident(&'s str),
+    Int(i64),
+    Kw(Kw),
+    Sym(Sy),
+}
+
+impl From<Token<'_>> for Tok {
+    fn from(t: Token<'_>) -> Tok {
+        match t {
+            Token::Ident(s) => Tok::Ident(s.to_string()),
+            Token::Int(n) => Tok::Int(n),
+            Token::Kw(k) => Tok::Kw(k),
+            Token::Sym(s) => Tok::Sym(s),
+        }
+    }
+}
+
 /// A lexing error.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LexError {
@@ -153,6 +175,14 @@ pub fn lex(src: &str) -> Result<Vec<Tok>, LexError> {
 ///
 /// Returns [`LexError`] on unknown characters or malformed literals.
 pub fn lex_spanned(src: &str) -> Result<Vec<(Tok, usize)>, LexError> {
+    Ok(tokens(src)?
+        .into_iter()
+        .map(|(t, pos)| (t.into(), pos))
+        .collect())
+}
+
+/// [`lex_spanned`] with identifiers borrowed from `src`.
+pub(crate) fn tokens(src: &str) -> Result<Vec<(Token<'_>, usize)>, LexError> {
     let b = src.as_bytes();
     let mut i = 0;
     let mut out = Vec::new();
@@ -184,99 +214,99 @@ pub fn lex_spanned(src: &str) -> Result<Vec<(Tok, usize)>, LexError> {
                 }
             }
             '(' => {
-                out.push((Tok::Sym(Sy::LParen), tok_start));
+                out.push((Token::Sym(Sy::LParen), tok_start));
                 i += 1;
             }
             ')' => {
-                out.push((Tok::Sym(Sy::RParen), tok_start));
+                out.push((Token::Sym(Sy::RParen), tok_start));
                 i += 1;
             }
             '{' => {
-                out.push((Tok::Sym(Sy::LBrace), tok_start));
+                out.push((Token::Sym(Sy::LBrace), tok_start));
                 i += 1;
             }
             '}' => {
-                out.push((Tok::Sym(Sy::RBrace), tok_start));
+                out.push((Token::Sym(Sy::RBrace), tok_start));
                 i += 1;
             }
             ',' => {
-                out.push((Tok::Sym(Sy::Comma), tok_start));
+                out.push((Token::Sym(Sy::Comma), tok_start));
                 i += 1;
             }
             ';' => {
-                out.push((Tok::Sym(Sy::Semi), tok_start));
+                out.push((Token::Sym(Sy::Semi), tok_start));
                 i += 1;
             }
             '.' => {
-                out.push((Tok::Sym(Sy::Dot), tok_start));
+                out.push((Token::Sym(Sy::Dot), tok_start));
                 i += 1;
             }
             '?' => {
-                out.push((Tok::Sym(Sy::Question), tok_start));
+                out.push((Token::Sym(Sy::Question), tok_start));
                 i += 1;
             }
             ':' if b.get(i + 1) == Some(&b'=') => {
-                out.push((Tok::Sym(Sy::Assign), tok_start));
+                out.push((Token::Sym(Sy::Assign), tok_start));
                 i += 2;
             }
             ':' => {
-                out.push((Tok::Sym(Sy::Colon), tok_start));
+                out.push((Token::Sym(Sy::Colon), tok_start));
                 i += 1;
             }
             '=' if b.get(i + 1) == Some(&b'=') && b.get(i + 2) == Some(&b'>') => {
-                out.push((Tok::Sym(Sy::Implies), tok_start));
+                out.push((Token::Sym(Sy::Implies), tok_start));
                 i += 3;
             }
             '=' if b.get(i + 1) == Some(&b'=') => {
-                out.push((Tok::Sym(Sy::EqEq), tok_start));
+                out.push((Token::Sym(Sy::EqEq), tok_start));
                 i += 2;
             }
             '!' if b.get(i + 1) == Some(&b'=') => {
-                out.push((Tok::Sym(Sy::Ne), tok_start));
+                out.push((Token::Sym(Sy::Ne), tok_start));
                 i += 2;
             }
             '!' => {
-                out.push((Tok::Sym(Sy::Bang), tok_start));
+                out.push((Token::Sym(Sy::Bang), tok_start));
                 i += 1;
             }
             '<' if b.get(i + 1) == Some(&b'=') => {
-                out.push((Tok::Sym(Sy::Le), tok_start));
+                out.push((Token::Sym(Sy::Le), tok_start));
                 i += 2;
             }
             '<' => {
-                out.push((Tok::Sym(Sy::Lt), tok_start));
+                out.push((Token::Sym(Sy::Lt), tok_start));
                 i += 1;
             }
             '>' if b.get(i + 1) == Some(&b'=') => {
-                out.push((Tok::Sym(Sy::Ge), tok_start));
+                out.push((Token::Sym(Sy::Ge), tok_start));
                 i += 2;
             }
             '>' => {
-                out.push((Tok::Sym(Sy::Gt), tok_start));
+                out.push((Token::Sym(Sy::Gt), tok_start));
                 i += 1;
             }
             '+' => {
-                out.push((Tok::Sym(Sy::Plus), tok_start));
+                out.push((Token::Sym(Sy::Plus), tok_start));
                 i += 1;
             }
             '-' => {
-                out.push((Tok::Sym(Sy::Minus), tok_start));
+                out.push((Token::Sym(Sy::Minus), tok_start));
                 i += 1;
             }
             '*' => {
-                out.push((Tok::Sym(Sy::Star), tok_start));
+                out.push((Token::Sym(Sy::Star), tok_start));
                 i += 1;
             }
             '/' => {
-                out.push((Tok::Sym(Sy::Slash), tok_start));
+                out.push((Token::Sym(Sy::Slash), tok_start));
                 i += 1;
             }
             '&' if b.get(i + 1) == Some(&b'&') => {
-                out.push((Tok::Sym(Sy::AndAnd), tok_start));
+                out.push((Token::Sym(Sy::AndAnd), tok_start));
                 i += 2;
             }
             '|' if b.get(i + 1) == Some(&b'|') => {
-                out.push((Tok::Sym(Sy::OrOr), tok_start));
+                out.push((Token::Sym(Sy::OrOr), tok_start));
                 i += 2;
             }
             c if c.is_ascii_digit() => {
@@ -288,7 +318,7 @@ pub fn lex_spanned(src: &str) -> Result<Vec<(Tok, usize)>, LexError> {
                     pos: start,
                     message: "integer literal out of range".into(),
                 })?;
-                out.push((Tok::Int(n), tok_start));
+                out.push((Token::Int(n), tok_start));
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
@@ -302,15 +332,20 @@ pub fn lex_spanned(src: &str) -> Result<Vec<(Tok, usize)>, LexError> {
                 }
                 let text = &src[start..i];
                 match keyword(text) {
-                    Some(k) => out.push((Tok::Kw(k), tok_start)),
-                    None => out.push((Tok::Ident(text.to_string()), tok_start)),
+                    Some(k) => out.push((Token::Kw(k), tok_start)),
+                    None => out.push((Token::Ident(text), tok_start)),
                 }
             }
             other => {
+                // Every arm above consumes whole ASCII characters, so
+                // `i` is a character boundary: name the character, not
+                // its first byte.
+                let ch = src.get(i..).and_then(|rest| rest.chars().next());
+                let ch = ch.unwrap_or(other);
                 return Err(LexError {
                     pos: i,
-                    message: format!("unexpected character {:?}", other),
-                })
+                    message: format!("unexpected character {:?}", ch),
+                });
             }
         }
     }
@@ -327,6 +362,22 @@ mod tests {
         assert_eq!(toks[0], Tok::Kw(Kw::Method));
         assert!(toks.contains(&Tok::Kw(Kw::Acc)));
         assert!(toks.contains(&Tok::Sym(Sy::Dot)));
+    }
+
+    #[test]
+    fn spanned_tokens_own_their_identifiers() {
+        assert_eq!(
+            lex_spanned("method m(ab: Ref)").unwrap(),
+            vec![
+                (Tok::Kw(Kw::Method), 0),
+                (Tok::Ident("m".into()), 7),
+                (Tok::Sym(Sy::LParen), 8),
+                (Tok::Ident("ab".into()), 9),
+                (Tok::Sym(Sy::Colon), 11),
+                (Tok::Kw(Kw::TyRef), 13),
+                (Tok::Sym(Sy::RParen), 16),
+            ]
+        );
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub use exec::{
     VerifyStats,
 };
 pub use fingerprint::{
-    config_fingerprint, direct_callees, interface_fingerprint, method_fingerprint,
-    normalized_interface, Fingerprint,
+    config_fingerprint, direct_callees, fingerprint_plane, interface_fingerprint,
+    method_fingerprint, normalized_interface, Fingerprint, FingerprintPlane,
 };
 pub use parser::{
     parse_assertion, parse_program, parse_program_traced, parse_program_with_recovery,

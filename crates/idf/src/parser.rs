@@ -21,7 +21,7 @@
 //! ```
 
 use crate::ast::{Assertion, Expr, Method, Op, Program, Span, Stmt, Type};
-use crate::lexer::{lex_spanned, Kw, LexError, Sy, Tok};
+use crate::lexer::{tokens, Kw, LexError, Sy, Token};
 use daenerys_algebra::Q;
 use std::fmt;
 
@@ -209,46 +209,49 @@ pub fn parse_assertion(src: &str) -> Result<Assertion, ParseError> {
     Ok(a)
 }
 
-struct P {
-    toks: Vec<Tok>,
-    /// Starting byte offset of each token (parallel to `toks`).
-    spans: Vec<usize>,
+struct P<'s> {
+    /// Each token with its starting byte offset.
+    toks: Vec<(Token<'s>, usize)>,
     i: usize,
     /// Byte offset where each source line starts (index 0 = line 1).
     line_starts: Vec<usize>,
     src_len: usize,
 }
 
-impl P {
-    fn new(src: &str) -> Result<P, ParseError> {
-        let spanned = lex_spanned(src).map_err(|e| ParseError::from_lex(e, src))?;
+impl<'s> P<'s> {
+    fn new(src: &'s str) -> Result<P<'s>, ParseError> {
+        let toks = tokens(src).map_err(|e| ParseError::from_lex(e, src))?;
         let mut line_starts = vec![0];
         for (i, b) in src.bytes().enumerate() {
             if b == b'\n' {
                 line_starts.push(i + 1);
             }
         }
-        let (toks, spans) = spanned.into_iter().unzip();
         Ok(P {
             toks,
-            spans,
             i: 0,
             line_starts,
             src_len: src.len(),
         })
     }
 
+    /// The starting byte offset of token `tok_idx` (end of input when
+    /// out of range).
+    fn pos_at(&self, tok_idx: usize) -> usize {
+        self.toks.get(tok_idx).map_or(self.src_len, |&(_, pos)| pos)
+    }
+
     /// The source position of token `tok_idx` (end of input when out
     /// of range) as an AST [`Span`].
     fn span_at(&self, tok_idx: usize) -> Span {
-        let pos = self.spans.get(tok_idx).copied().unwrap_or(self.src_len);
+        let pos = self.pos_at(tok_idx);
         let line = self.line_starts.partition_point(|&s| s <= pos);
         let col = pos - self.line_starts[line - 1] + 1;
         Span::new(line as u32, col as u32)
     }
 
     fn err(&self, m: impl Into<String>) -> ParseError {
-        let pos = self.spans.get(self.i).copied().unwrap_or(self.src_len);
+        let pos = self.pos_at(self.i);
         // The number of line starts at or before `pos` is the 1-based
         // line; the column is the offset into that line.
         let line = self.line_starts.partition_point(|&s| s <= pos);
@@ -257,7 +260,7 @@ impl P {
             at: self.i,
             line,
             col,
-            message: format!("{} (found {:?})", m.into(), self.toks.get(self.i)),
+            message: format!("{} (found {:?})", m.into(), self.peek()),
         }
     }
 
@@ -274,23 +277,23 @@ impl P {
     fn recover_to_item(&mut self) {
         self.i += 1;
         while let Some(t) = self.peek() {
-            if matches!(t, Tok::Kw(Kw::Field) | Tok::Kw(Kw::Method)) {
+            if matches!(t, Token::Kw(Kw::Field) | Token::Kw(Kw::Method)) {
                 return;
             }
             self.i += 1;
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.i)
+    fn peek(&self) -> Option<Token<'s>> {
+        self.toks.get(self.i).map(|&(t, _)| t)
     }
 
-    fn peek2(&self) -> Option<&Tok> {
-        self.toks.get(self.i + 1)
+    fn peek2(&self) -> Option<Token<'s>> {
+        self.toks.get(self.i + 1).map(|&(t, _)| t)
     }
 
     fn peek_kw(&self, k: Kw) -> bool {
-        self.peek() == Some(&Tok::Kw(k))
+        self.peek() == Some(Token::Kw(k))
     }
 
     fn eat_kw(&mut self, k: Kw) -> bool {
@@ -303,7 +306,7 @@ impl P {
     }
 
     fn eat_sym(&mut self, s: Sy) -> bool {
-        if self.peek() == Some(&Tok::Sym(s)) {
+        if self.peek() == Some(Token::Sym(s)) {
             self.i += 1;
             true
         } else {
@@ -328,8 +331,12 @@ impl P {
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().cloned() {
-            Some(Tok::Ident(s)) => {
+        self.ident_str().map(str::to_string)
+    }
+
+    fn ident_str(&mut self) -> Result<&'s str, ParseError> {
+        match self.peek() {
+            Some(Token::Ident(s)) => {
                 self.i += 1;
                 Ok(s)
             }
@@ -463,7 +470,7 @@ impl P {
         if self.eat_kw(Kw::Call) {
             // call [targets :=] m(args)
             let first = self.ident()?;
-            if self.peek() == Some(&Tok::Sym(Sy::LParen)) {
+            if self.peek() == Some(Token::Sym(Sy::LParen)) {
                 let args = self.call_args()?;
                 return Ok(Stmt::Call(Vec::new(), first, args));
             }
@@ -477,8 +484,8 @@ impl P {
             return Ok(Stmt::Call(targets, m, args));
         }
         // Assignment forms: `x := ...` or `e.f := e`.
-        if let (Some(Tok::Ident(x)), Some(Tok::Sym(Sy::Assign))) = (self.peek(), self.peek2()) {
-            let x = x.clone();
+        if let (Some(Token::Ident(x)), Some(Token::Sym(Sy::Assign))) = (self.peek(), self.peek2()) {
+            let x = x.to_string();
             self.i += 2;
             if self.eat_kw(Kw::New) {
                 self.expect_sym(Sy::LParen)?;
@@ -557,7 +564,7 @@ impl P {
         // A parenthesized *assertion* (e.g. `(e ==> acc(x.f))`): try it
         // with backtracking; fall through to expression parsing when the
         // parenthesis turns out to enclose a plain expression.
-        if self.peek() == Some(&Tok::Sym(Sy::LParen)) {
+        if self.peek() == Some(Token::Sym(Sy::LParen)) {
             let save = self.i;
             self.i += 1;
             if let Ok(a) = self.assertion() {
@@ -588,16 +595,16 @@ impl P {
     fn ends_assertion(&self) -> bool {
         matches!(
             self.peek(),
-            None | Some(Tok::Sym(Sy::AndAnd))
-                | Some(Tok::Sym(Sy::RParen))
-                | Some(Tok::Sym(Sy::RBrace))
-                | Some(Tok::Sym(Sy::Semi))
-                | Some(Tok::Sym(Sy::LBrace))
-                | Some(Tok::Kw(Kw::Requires))
-                | Some(Tok::Kw(Kw::Ensures))
-                | Some(Tok::Kw(Kw::Invariant))
-                | Some(Tok::Kw(Kw::Method))
-                | Some(Tok::Kw(Kw::Field))
+            None | Some(Token::Sym(Sy::AndAnd))
+                | Some(Token::Sym(Sy::RParen))
+                | Some(Token::Sym(Sy::RBrace))
+                | Some(Token::Sym(Sy::Semi))
+                | Some(Token::Sym(Sy::LBrace))
+                | Some(Token::Kw(Kw::Requires))
+                | Some(Token::Kw(Kw::Ensures))
+                | Some(Token::Kw(Kw::Invariant))
+                | Some(Token::Kw(Kw::Method))
+                | Some(Token::Kw(Kw::Field))
         )
     }
 
@@ -605,12 +612,12 @@ impl P {
         if self.eat_kw(Kw::Write) {
             return Ok(Q::ONE);
         }
-        match self.peek().cloned() {
-            Some(Tok::Int(n)) => {
+        match self.peek() {
+            Some(Token::Int(n)) => {
                 self.i += 1;
                 if self.eat_sym(Sy::Slash) {
-                    match self.peek().cloned() {
-                        Some(Tok::Int(d)) if d != 0 => {
+                    match self.peek() {
+                        Some(Token::Int(d)) if d != 0 => {
                             self.i += 1;
                             Ok(Q::new(n as i128, d as i128))
                         }
@@ -672,12 +679,12 @@ impl P {
     fn expr_cmp(&mut self) -> Result<Expr, ParseError> {
         let e = self.expr_add()?;
         let op = match self.peek() {
-            Some(Tok::Sym(Sy::EqEq)) => Some(Op::Eq),
-            Some(Tok::Sym(Sy::Ne)) => Some(Op::Ne),
-            Some(Tok::Sym(Sy::Lt)) => Some(Op::Lt),
-            Some(Tok::Sym(Sy::Le)) => Some(Op::Le),
-            Some(Tok::Sym(Sy::Gt)) => Some(Op::Gt),
-            Some(Tok::Sym(Sy::Ge)) => Some(Op::Ge),
+            Some(Token::Sym(Sy::EqEq)) => Some(Op::Eq),
+            Some(Token::Sym(Sy::Ne)) => Some(Op::Ne),
+            Some(Token::Sym(Sy::Lt)) => Some(Op::Lt),
+            Some(Token::Sym(Sy::Le)) => Some(Op::Le),
+            Some(Token::Sym(Sy::Gt)) => Some(Op::Gt),
+            Some(Token::Sym(Sy::Ge)) => Some(Op::Ge),
             _ => None,
         };
         if let Some(op) = op {
@@ -725,8 +732,7 @@ impl P {
         if self.eat_sym(Sy::Minus) {
             // Fold unary minus on integer literals so negative constants
             // round-trip through the printer.
-            if let Some(Tok::Int(n)) = self.peek() {
-                let n = *n;
+            if let Some(Token::Int(n)) = self.peek() {
                 self.i += 1;
                 return Ok(Expr::Int(n.wrapping_neg()));
             }
@@ -741,31 +747,31 @@ impl P {
         let start = self.i;
         let mut e = self.atom()?;
         while self.eat_sym(Sy::Dot) {
-            let f = self.ident()?;
-            e = Expr::field_at(e, &f, self.span_at(start));
+            let f = self.ident_str()?;
+            e = Expr::field_at(e, f, self.span_at(start));
         }
         Ok(e)
     }
 
     fn atom(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().cloned() {
-            Some(Tok::Int(n)) => {
+        match self.peek() {
+            Some(Token::Int(n)) => {
                 self.i += 1;
                 Ok(Expr::Int(n))
             }
-            Some(Tok::Kw(Kw::True)) => {
+            Some(Token::Kw(Kw::True)) => {
                 self.i += 1;
                 Ok(Expr::Bool(true))
             }
-            Some(Tok::Kw(Kw::False)) => {
+            Some(Token::Kw(Kw::False)) => {
                 self.i += 1;
                 Ok(Expr::Bool(false))
             }
-            Some(Tok::Kw(Kw::Null)) => {
+            Some(Token::Kw(Kw::Null)) => {
                 self.i += 1;
                 Ok(Expr::Null)
             }
-            Some(Tok::Kw(Kw::Old)) => {
+            Some(Token::Kw(Kw::Old)) => {
                 let at = self.span_at(self.i);
                 self.i += 1;
                 self.expect_sym(Sy::LParen)?;
@@ -773,7 +779,7 @@ impl P {
                 self.expect_sym(Sy::RParen)?;
                 Ok(Expr::Old(Box::new(e), at))
             }
-            Some(Tok::Kw(Kw::Perm)) => {
+            Some(Token::Kw(Kw::Perm)) => {
                 let at = self.span_at(self.i);
                 self.i += 1;
                 self.expect_sym(Sy::LParen)?;
@@ -784,11 +790,11 @@ impl P {
                     _ => Err(self.err("perm expects a field location e.f")),
                 }
             }
-            Some(Tok::Ident(x)) => {
+            Some(Token::Ident(x)) => {
                 self.i += 1;
-                Ok(Expr::Var(x))
+                Ok(Expr::Var(x.to_string()))
             }
-            Some(Tok::Sym(Sy::LParen)) => {
+            Some(Token::Sym(Sy::LParen)) => {
                 self.i += 1;
                 let e = self.expr()?;
                 self.expect_sym(Sy::RParen)?;
@@ -912,6 +918,31 @@ mod tests {
         let err = parse_program("field val: Int\nmethod m() { § }").unwrap_err();
         assert_eq!(err.line, 2, "lex error is on the second line: {}", err);
         assert!(err.to_string().contains("parse error at 2:"));
+    }
+
+    #[test]
+    fn lex_errors_name_the_non_ascii_character() {
+        // The character's first byte alone would read as 'Ã'; the
+        // offset and position stay those of that first byte.
+        let err = parse_program("method m() { à }").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at 1:14: lex error at byte 13: unexpected character 'à'"
+        );
+        let err = parse_program("field v: Int\nmethod m() {\u{2028}}").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at 2:13: lex error at byte 25: unexpected character '\\u{2028}'"
+        );
+    }
+
+    #[test]
+    fn diagnostics_quote_the_found_identifier() {
+        let err = parse_program("method m() { x y }").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at 1:16: expected a statement (found Some(Ident(\"y\")))"
+        );
     }
 
     #[test]

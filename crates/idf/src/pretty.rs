@@ -189,10 +189,10 @@ impl fmt::Display for Assertion {
 }
 
 fn write_block(stmts: &[Stmt], indent: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    let pad = "  ".repeat(indent);
+    let pad = 2 * indent;
     writeln!(f, "{{")?;
     for (i, s) in stmts.iter().enumerate() {
-        write!(f, "{}  ", pad)?;
+        write!(f, "{:pad$}  ", "")?;
         write_stmt(s, indent + 1, f)?;
         if i + 1 < stmts.len() {
             writeln!(f, ";")?;
@@ -200,7 +200,7 @@ fn write_block(stmts: &[Stmt], indent: usize, f: &mut fmt::Formatter<'_>) -> fmt
             writeln!(f)?;
         }
     }
-    write!(f, "{}}}", pad)
+    write!(f, "{:pad$}}}", "")
 }
 
 fn write_stmt(s: &Stmt, indent: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -283,12 +283,22 @@ impl fmt::Display for Interface<'_> {
     }
 }
 
+/// A method body printed as a top-level block: the text [`Method`]'s
+/// `Display` appends to its [`Interface`].
+pub(crate) struct Body<'a>(pub(crate) &'a [Stmt]);
+
+impl fmt::Display for Body<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_block(self.0, 0, f)
+    }
+}
+
 impl fmt::Display for Method {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", Interface(self))?;
         match &self.body {
             None => Ok(()),
-            Some(b) => write_block(b, 0, f),
+            Some(b) => write!(f, "{}", Body(b)),
         }
     }
 }

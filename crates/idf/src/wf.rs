@@ -59,9 +59,9 @@ impl Position {
 
 struct Checker<'a> {
     program: &'a Program,
-    method: String,
+    method: &'a str,
     errors: Vec<WfError>,
-    scope: BTreeMap<String, Type>,
+    scope: BTreeMap<&'a str, Type>,
 }
 
 impl<'a> Checker<'a> {
@@ -71,7 +71,7 @@ impl<'a> Checker<'a> {
 
     fn error_at(&mut self, message: impl Into<String>, span: Span) {
         self.errors.push(WfError {
-            method: self.method.clone(),
+            method: self.method.to_string(),
             message: message.into(),
             span,
         });
@@ -83,7 +83,7 @@ impl<'a> Checker<'a> {
             Expr::Int(_) => Some(Type::Int),
             Expr::Bool(_) => Some(Type::Bool),
             Expr::Null => Some(Type::Ref),
-            Expr::Var(x) => match self.scope.get(x) {
+            Expr::Var(x) => match self.scope.get(x.as_str()) {
                 Some(t) => Some(*t),
                 None => {
                     self.error(format!("unbound variable {}", x));
@@ -221,22 +221,22 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_stmts(&mut self, stmts: &[Stmt]) {
+    fn check_stmts(&mut self, stmts: &'a [Stmt]) {
         for s in stmts {
             self.check_stmt(s);
         }
     }
 
-    fn check_stmt(&mut self, s: &Stmt) {
+    fn check_stmt(&mut self, s: &'a Stmt) {
         match s {
             Stmt::VarDecl(x, ty, e) => {
                 let t = self.infer(e, Position::Code);
                 self.expect(t, *ty, e);
-                self.scope.insert(x.clone(), *ty);
+                self.scope.insert(x, *ty);
             }
             Stmt::Assign(x, e) => {
                 let t = self.infer(e, Position::Code);
-                match self.scope.get(x).copied() {
+                match self.scope.get(x.as_str()).copied() {
                     Some(want) => self.expect(t, want, e),
                     None => self.error(format!("assignment to undeclared variable {}", x)),
                 }
@@ -262,7 +262,7 @@ impl<'a> Checker<'a> {
                         None => self.error(format!("unknown field {} in new", f)),
                     }
                 }
-                match self.scope.get(x) {
+                match self.scope.get(x.as_str()) {
                     Some(Type::Ref) => {}
                     Some(t) => self.error(format!("new target {} has type {}", x, t)),
                     None => self.error(format!("new target {} undeclared", x)),
@@ -314,7 +314,7 @@ impl<'a> Checker<'a> {
                     ));
                 }
                 for ((_, rt), tgt) in callee.returns.iter().zip(targets.iter()) {
-                    match self.scope.get(tgt).copied() {
+                    match self.scope.get(tgt.as_str()).copied() {
                         Some(have) if have != *rt => {
                             self.error(format!("target {} has type {}, expected {}", tgt, have, rt))
                         }
@@ -330,13 +330,13 @@ impl<'a> Checker<'a> {
 fn check_method(program: &Program, m: &Method) -> Vec<WfError> {
     let mut ck = Checker {
         program,
-        method: m.name.clone(),
+        method: &m.name,
         errors: Vec::new(),
         scope: m
             .params
             .iter()
             .chain(m.returns.iter())
-            .map(|(x, t)| (x.clone(), *t))
+            .map(|(x, t)| (x.as_str(), *t))
             .collect(),
     };
     // Duplicate parameter/return names.
@@ -490,6 +490,22 @@ method m(c: Ref) {
             .expect("field diagnostic");
         assert_eq!(fld.span.line, 3);
         assert!(fld.span.col > 1);
+    }
+
+    #[test]
+    fn diagnostics_render_byte_identically() {
+        let rendered = |src: &str| -> Vec<String> {
+            let errs = check_program(&parse_program(src).unwrap()).unwrap_err();
+            errs.iter().map(ToString::to_string).collect()
+        };
+        assert_eq!(
+            rendered("method m(n: Int) { if (n > 0) { var t: Int := q } }"),
+            ["in method m: unbound variable q"]
+        );
+        assert_eq!(
+            rendered("method m(x: Int) returns (x: Int) { }"),
+            ["in method m: duplicate parameter/return name x"]
+        );
     }
 
     #[test]

@@ -3,9 +3,14 @@
 //! reverse-reachable set of the edited method (ground truth computed
 //! independently from the generated adjacency), a body-only edit must
 //! dirty only itself, and formatting-only spec edits must dirty
-//! nothing at all.
+//! nothing at all. The one-pass fingerprint plane must agree with the
+//! per-method fingerprints and `DepGraph::of_program` on every program.
 
-use daenerys_idf::{parse_program, Backend, DepGraph, Verdict, Verifier, VerifierConfig};
+use daenerys_bench::corpus::{Corpus, CorpusSpec};
+use daenerys_idf::{
+    all_cases, fingerprint_plane, method_fingerprint, parse_program, Backend, DepGraph, FaultKind,
+    FaultPlan, Program, Verdict, Verifier, VerifierConfig,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
@@ -78,6 +83,166 @@ impl Dag {
         }
         out
     }
+}
+
+/// Extra shapes on top of a [`Dag`] source, for the plane's soundness
+/// gate: the generated programs need only parse, not verify.
+#[derive(Clone, Debug)]
+struct Messy {
+    dag: Dag,
+    /// Declare `field val: Int` and `field next: Ref` first.
+    fields: bool,
+    /// Re-declare this method (mod the DAG size) after the DAG, with a
+    /// different contract, bodyless when `dup_bodyless`.
+    dup: Option<usize>,
+    dup_bodyless: bool,
+    /// Method (mod the DAG size) that also calls `ghost`, never declared.
+    undeclared: Option<usize>,
+    /// Method (mod the DAG size) that also calls the bodyless `abs`.
+    abstract_call: Option<usize>,
+    /// Method (mod the DAG size) that also calls itself and the last
+    /// method (recursion, and a back edge when it is not the last).
+    recursive: Option<usize>,
+    /// Method (mod the DAG size) the fault plan targets.
+    fault: Option<usize>,
+    stable: bool,
+}
+
+fn arb_messy() -> impl Strategy<Value = Messy> {
+    (
+        arb_dag(),
+        (
+            any::<bool>(),
+            proptest::option::of(0usize..8),
+            any::<bool>(),
+        ),
+        (
+            proptest::option::of(0usize..8),
+            proptest::option::of(0usize..8),
+            proptest::option::of(0usize..8),
+        ),
+        (proptest::option::of(0usize..8), any::<bool>()),
+    )
+        .prop_map(
+            |(
+                dag,
+                (fields, dup, dup_bodyless),
+                (undeclared, abstract_call, recursive),
+                (fault, stable),
+            )| {
+                Messy {
+                    dag,
+                    fields,
+                    dup,
+                    dup_bodyless,
+                    undeclared,
+                    abstract_call,
+                    recursive,
+                    fault,
+                    stable,
+                }
+            },
+        )
+}
+
+impl Messy {
+    fn source(&self) -> String {
+        let n = self.dag.len();
+        let pick = |k: Option<usize>| k.map(|k| k % n);
+        let mut src = String::new();
+        if self.fields {
+            src.push_str("field val: Int\nfield next: Ref\n");
+        }
+        for (i, callees) in self.dag.edges.iter().enumerate() {
+            src.push_str(&format!(
+                "method m{}(n: Int) returns (r: Int) requires n >= 0 ensures r >= n\n{{ var t: Int := n;",
+                i
+            ));
+            for &j in callees {
+                src.push_str(&format!(" call t := m{}(t);", j));
+            }
+            if pick(self.undeclared) == Some(i) {
+                src.push_str(" call t := ghost(t);");
+            }
+            if pick(self.abstract_call) == Some(i) {
+                src.push_str(" call t := abs(t);");
+            }
+            if pick(self.recursive) == Some(i) {
+                src.push_str(&format!(" call t := m{}(t); call t := m{}(t);", i, n - 1));
+            }
+            src.push_str(" r := t }\n");
+        }
+        src.push_str("method abs(n: Int) returns (r: Int) requires n >= 0 ensures r >= n\n");
+        if let Some(d) = pick(self.dup) {
+            src.push_str(&format!(
+                "method m{}(n: Int) returns (r: Int) requires n >= 1 ensures r > n\n",
+                d
+            ));
+            if !self.dup_bodyless {
+                src.push_str("{ r := n + 1 }\n");
+            }
+        }
+        src
+    }
+
+    fn backend(&self) -> Backend {
+        if self.stable {
+            Backend::StableBaseline
+        } else {
+            Backend::Destabilized
+        }
+    }
+
+    fn config(&self) -> VerifierConfig {
+        let mut faults = FaultPlan::none();
+        if let Some(k) = self.fault {
+            faults.push(
+                &format!("m{}", k % self.dag.len()),
+                FaultKind::SolverUnknownAfter(1),
+            );
+        }
+        VerifierConfig {
+            faults,
+            ..VerifierConfig::default()
+        }
+    }
+}
+
+/// The plane must equal, method by method, what the per-method entry
+/// points compute.
+fn assert_plane_matches(program: &Program, backend: Backend, config: &VerifierConfig) {
+    let plane = fingerprint_plane(program, backend, config);
+    assert_eq!(plane.fingerprints.len(), program.methods.len());
+    for (m, fp) in program.methods.iter().zip(&plane.fingerprints) {
+        assert_eq!(
+            *fp,
+            method_fingerprint(program, m, backend, config),
+            "plane fingerprint of {}",
+            m.name
+        );
+    }
+    assert_eq!(plane.graph, DepGraph::of_program(program));
+}
+
+#[test]
+fn fingerprint_plane_matches_per_method_on_case_studies_and_a_1k_corpus() {
+    let faulted = |name: &str| VerifierConfig {
+        faults: FaultPlan::none().inject(name, FaultKind::PanicAtState(1)),
+        ..VerifierConfig::default()
+    };
+    for case in all_cases() {
+        let program = case.program();
+        let first = program.methods[0].name.clone();
+        for backend in [Backend::Destabilized, Backend::StableBaseline] {
+            assert_plane_matches(&program, backend, &VerifierConfig::default());
+            assert_plane_matches(&program, backend, &faulted(&first));
+        }
+    }
+    let corpus = Corpus::generate(CorpusSpec::default());
+    assert_eq!(corpus.len(), 1000);
+    let program = parse_program(&corpus.source(None)).unwrap();
+    assert_plane_matches(&program, Backend::Destabilized, &VerifierConfig::default());
+    assert_plane_matches(&program, Backend::Destabilized, &faulted("m500"));
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -219,5 +384,19 @@ proptest! {
                 .collect();
             prop_assert_eq!(got, expected);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The one-pass plane agrees with `method_fingerprint` and
+    /// `DepGraph::of_program` under duplicate names (first declaration
+    /// for callee interfaces, last for graph nodes), undeclared and
+    /// bodyless callees, recursion, fields and a one-method fault plan.
+    #[test]
+    fn fingerprint_plane_matches_per_method_fingerprints(messy in arb_messy()) {
+        let program = parse_program(&messy.source()).unwrap();
+        assert_plane_matches(&program, messy.backend(), &messy.config());
     }
 }

@@ -34,8 +34,8 @@ impl Sink for NullSink {
     fn write(&self, _events: &[Event]) {}
 }
 
-/// An in-memory ring buffer of the most recent events — the test and
-/// `--profile` sink.
+/// An in-memory ring buffer of the most recent events — the sink tests
+/// read traces back from.
 #[derive(Debug)]
 pub struct MemorySink {
     capacity: usize,
